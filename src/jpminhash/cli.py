@@ -92,7 +92,11 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_corpus(path: Path) -> list[harness.Document]:
-    corpus, skipped = harness.corpus_from_records(io.read_corpus_jsonl(path))
+    records = io.read_corpus_jsonl(path)
+    try:
+        corpus, skipped = harness.corpus_from_records(records)
+    except OverflowError as exc:  # weights whose sum exceeds the float range
+        raise CliError(f"{path}: cannot normalize weights ({exc})") from None
     if skipped:
         print(f"warning: skipped {skipped} empty document(s)", file=sys.stderr)
     if not corpus:

@@ -7,8 +7,12 @@ global bound B on measure/proposal.  For finite measures the stream is
 realized by sorting the per-element exponential keys of the proposal, which
 is distributionally identical to drawing incremental truncated exponentials
 and makes the result coincide exactly, seed by seed, with the sparse sampler
-applied to the measure.  Piecewise-constant densities on [0, 1) use the
-incremental form with inverse-CDF position draws.
+applied to the measure.  That sort hashes every proposal element up front, so
+on finite measures early termination shortens only the visiting loop and
+saves no hashing: the finite search is the seed-for-seed oracle for
+``pminhash``, not a faster route to it.  Piecewise-constant densities on
+[0, 1) use the incremental form with inverse-CDF position draws, where
+stopping early does save work.
 """
 
 from __future__ import annotations
@@ -166,14 +170,17 @@ def global_bound(mu: Measure, lam: Measure) -> float:
 
 
 def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, float]]:
-    """Lazy stream of (candidate, arrival_key) pairs in ascending key order.
+    """Stream of (candidate, arrival_key) pairs in ascending key order.
 
     The stream is a function of (lam, seed) only -- it never reads the target
     measure, which is exactly what couples two searches run against the same
     proposal.  Finite case: every positive-mass element, ordered by its
-    exponential key.  Continuous case: arrival keys grow by exponentials at
-    rate lam([0,1)) (removing visited points is a no-op for a non-atomic
-    proposal) and positions are inverse-CDF draws from a salted uniform.
+    exponential key; all keys are hashed and sorted before the first yield,
+    so a consumer that stops early saves no hashing.  This finite stream is
+    the seed-for-seed oracle for ``pminhash``.  Continuous case: arrival keys
+    grow by exponentials at rate lam([0,1)) (removing visited points is a
+    no-op for a non-atomic proposal) and positions are inverse-CDF draws from
+    a salted uniform, produced lazily one candidate at a time.
     """
     if isinstance(lam, FiniteMeasure):
         ids = np.nonzero(lam.arr)[0]

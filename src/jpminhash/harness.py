@@ -11,13 +11,14 @@ divergence scatter summaries used by the verification suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hashing import GOLDEN64, MASK64, derive_seed, derive_seed_vec, fin64, fin64_vec
-from .minhash import _PackedVectors, batch_signatures, signature
+from .hashing import derive_seed, derive_seed_vec, fin64, fin64_vec
+from .minhash import batch_signatures, pminhash_many, signature
 from .similarity import SimilarityReport, similarity_report
 from .sparse import SparseDistribution, SparseVector, normalize
 
@@ -56,11 +57,10 @@ DEFAULT_GRID: tuple[tuple[int, int], ...] = tuple(
 
 @dataclass(frozen=True)
 class Document:
-    """One corpus entry: id, normalized term distribution, token provenance."""
+    """One corpus entry: id and normalized term distribution."""
 
     doc_id: str
     dist: SparseDistribution
-    token_map: dict[str, int] | None = None
 
 
 def token_element_id(token: str) -> int:
@@ -99,13 +99,11 @@ def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], i
         if not tokens:
             skipped += 1
             continue
-        token_map = {t: token_element_id(t) for t in set(tokens)}
-        counts: dict[int, float] = {}
-        for t in tokens:
-            eid = token_map[t]
-            counts[eid] = counts.get(eid, 0.0) + 1.0
-        dist = normalize(SparseVector.from_pairs(counts.items()))
-        corpus.append(Document(doc_id=doc_id, dist=dist, token_map=token_map))
+        counts = Counter(tokens)
+        dist = normalize(
+            SparseVector.from_pairs((token_element_id(t), float(c)) for t, c in counts.items())
+        )
+        corpus.append(Document(doc_id=doc_id, dist=dist))
     return corpus, skipped
 
 
@@ -123,13 +121,12 @@ def corpus_from_records(records: Iterable[dict]) -> tuple[list[Document], int]:
             skipped += text_skipped
             continue
         weights = rec["weights"]
-        token_map = {t: token_element_id(t) for t in weights}
-        pairs = [(token_map[t], float(w)) for t, w in weights.items() if float(w) != 0.0]
+        pairs = [(token_element_id(t), float(w)) for t, w in weights.items() if float(w) != 0.0]
         if not pairs:
             skipped += 1
             continue
         dist = normalize(SparseVector.from_pairs(pairs))
-        corpus.append(Document(doc_id=rec["id"], dist=dist, token_map=token_map))
+        corpus.append(Document(doc_id=rec["id"], dist=dist))
     return corpus, skipped
 
 
@@ -271,25 +268,23 @@ def band_keys(samples: Sequence[int], scheme: BandingScheme) -> tuple[int, ...]:
     """Fold samples into o band keys; band b consumes positions b*a..b*a+a-1."""
     if len(samples) != scheme.k:
         raise ValueError("signature length does not match scheme")
-    keys = []
-    for b in range(scheme.o):
-        h = derive_seed(scheme.base_seed, b)
-        for s in samples[b * scheme.a : (b + 1) * scheme.a]:
-            h = fin64(h ^ s)
-        keys.append(h)
-    return tuple(keys)
+    row = np.array([samples], dtype=np.uint64)
+    return tuple(_band_keys_matrix(row, scheme.a, scheme.o, scheme.base_seed)[0].tolist())
 
 
-def _band_keys_matrix(samples: np.ndarray, scheme: BandingScheme) -> np.ndarray:
-    """(n_docs, o) band-key matrix for a (n_docs, a*o) sample matrix."""
-    n = samples.shape[0]
-    out = np.empty((n, scheme.o), dtype=np.uint64)
-    for b in range(scheme.o):
-        h = np.full(n, derive_seed(scheme.base_seed, b), dtype=np.uint64)
-        for t in range(scheme.a):
-            h = fin64_vec(h ^ samples[:, b * scheme.a + t])
-        out[:, b] = h
-    return out
+def _band_keys_matrix(samples: np.ndarray, a: int, o: int, base_seeds) -> np.ndarray:
+    """(n, o) band keys of an (n, a*o) uint64 sample matrix.
+
+    Band b of a row starts from derive_seed(base, b) and folds the row's
+    samples b*a..b*a+a-1 in order through fin64.  ``base_seeds`` is one seed
+    for every row or one seed per row.
+    """
+    bases = np.asarray(base_seeds, dtype=np.uint64).reshape(-1, 1)
+    h = derive_seed_vec(bases, np.arange(o))  # (1, o) for a shared seed, else (n, o)
+    bands = samples.reshape(samples.shape[0], o, a)
+    for t in range(a):
+        h = fin64_vec(h ^ bands[:, :, t])
+    return h
 
 
 @dataclass(frozen=True)
@@ -300,23 +295,17 @@ class InvertedIndex:
     scheme: BandingScheme
 
 
-def _index_from_samples(
-    doc_ids: Sequence[str], samples: np.ndarray, scheme: BandingScheme
-) -> InvertedIndex:
-    keys = _band_keys_matrix(samples, scheme)
-    buckets: dict[tuple[int, int], list[str]] = {}
-    for i, did in enumerate(doc_ids):
-        for b in range(scheme.o):
-            buckets.setdefault((b, int(keys[i, b])), []).append(did)
-    return InvertedIndex({k: tuple(v) for k, v in buckets.items()}, scheme)
-
-
 def index_build(corpus: Sequence[Document], scheme: BandingScheme) -> InvertedIndex:
     """Deterministically index a corpus under a banding scheme."""
     if not corpus:
         raise ValueError("corpus is empty")
     samples = batch_signatures([d.dist for d in corpus], scheme.base_seed, scheme.k)
-    return _index_from_samples([d.doc_id for d in corpus], samples, scheme)
+    keys = _band_keys_matrix(samples, scheme.a, scheme.o, scheme.base_seed)
+    buckets: dict[tuple[int, int], list[str]] = {}
+    for doc, row in zip(corpus, keys.tolist()):
+        for b, key in enumerate(row):
+            buckets.setdefault((b, key), []).append(doc.doc_id)
+    return InvertedIndex({k: tuple(v) for k, v in buckets.items()}, scheme)
 
 
 def query(index: InvertedIndex, dist: SparseDistribution) -> set[str]:
@@ -428,11 +417,13 @@ def eval_curves(
 def empirical_retrieval_runs(
     pairs: PairSample, task: Task | str, a: int, o: int, *, replicates: int, seed: int
 ) -> list[tuple[float, float]]:
-    """Per-replicate (precision, recall) from real index builds and queries.
+    """Per-replicate (precision, recall) of banded retrieval under real signatures.
 
-    Each replicate indexes every pair's first document under a fresh derived
-    scheme seed and counts a pair as retrieved when a banded lookup with its
-    second document's band keys returns the first.
+    Each replicate draws a fresh derived scheme seed and counts a pair as
+    retrieved when its two documents share a band key.  That is exactly when
+    an index over the first documents, queried with the second, returns the
+    first: documents with equal ids carry equal distributions, so they post
+    under equal keys.
     """
     if isinstance(task, str):
         task = Task.parse(task)
@@ -442,24 +433,17 @@ def empirical_retrieval_runs(
     if not positives.any():
         raise ValueError("degenerate task")
     weights = np.array([s.weight for s in pairs.scores])
-    ids_a = [s.id_a for s in pairs.scores]
-    packed_a = _PackedVectors([pairs.dists[s.id_a] for s in pairs.scores])
-    packed_b = _PackedVectors([pairs.dists[s.id_b] for s in pairs.scores])
+    dists_a = [pairs.dists[s.id_a] for s in pairs.scores]
+    dists_b = [pairs.dists[s.id_b] for s in pairs.scores]
     runs: list[tuple[float, float]] = []
     for r in range(replicates):
         scheme = BandingScheme(a, o, base_seed=derive_seed(seed, r))
-        sig_seeds = derive_seed_vec(scheme.base_seed, np.arange(scheme.k))
-        index = _index_from_samples(ids_a, packed_a.sample(sig_seeds), scheme)
-        keys_b = _band_keys_matrix(packed_b.sample(sig_seeds), scheme)
-        retrieved = np.zeros(len(pairs.scores), dtype=bool)
-        for i, s in enumerate(pairs.scores):
-            for b in range(o):
-                bucket = index.buckets.get((b, int(keys_b[i, b])))
-                if bucket and s.id_a in bucket:
-                    retrieved[i] = True
-                    break
-        precision, recall = _weighted_pr(weights, positives, retrieved.astype(float))
-        runs.append((precision, recall))
+        keys_a, keys_b = (
+            _band_keys_matrix(batch_signatures(d, scheme.base_seed, scheme.k), a, o, scheme.base_seed)
+            for d in (dists_a, dists_b)
+        )
+        retrieved = (keys_a == keys_b).any(axis=1)
+        runs.append(_weighted_pr(weights, positives, retrieved.astype(float)))
     return runs
 
 
@@ -469,26 +453,15 @@ def banded_collision_frequency(
     """Fraction of replicate seeds on which x and y share at least one band key."""
     if replicates < 1:
         raise ValueError("replicates must be positive")
-    scheme_probe = BandingScheme(a, o)  # validates a, o
-    k = scheme_probe.k
+    k = BandingScheme(a, o).k  # validates a, o
     rep_seeds = derive_seed_vec(seed, np.arange(replicates))
     # all signature seeds at once: row r holds derive(rep_seeds[r], 0..k-1)
-    sig_seeds = fin64_vec(rep_seeds[:, None] + np.arange(k, dtype=np.uint64)[None, :] * np.uint64(GOLDEN64))
-    flat = sig_seeds.reshape(-1)
-    packed = _PackedVectors([x, y])
-    samples = packed.sample(flat)  # (2, replicates*k)
-    sx = samples[0].reshape(replicates, k)
-    sy = samples[1].reshape(replicates, k)
-    matched = np.zeros(replicates, dtype=bool)
-    for b in range(o):
-        step = np.uint64((b * GOLDEN64) & MASK64)
-        hx = fin64_vec(rep_seeds + step)
-        hy = hx.copy()
-        for t in range(a):
-            hx = fin64_vec(hx ^ sx[:, b * a + t])
-            hy = fin64_vec(hy ^ sy[:, b * a + t])
-        matched |= hx == hy
-    return float(matched.mean())
+    sig_seeds = derive_seed_vec(rep_seeds[:, None], np.arange(k)).reshape(-1)
+    kx, ky = (
+        _band_keys_matrix(pminhash_many(v, sig_seeds).reshape(replicates, k), a, o, rep_seeds)
+        for v in (x, y)
+    )
+    return float((kx == ky).any(axis=1).mean())
 
 
 @dataclass(frozen=True)

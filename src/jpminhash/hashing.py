@@ -99,7 +99,8 @@ def uniform_hash_vec(element_ids, seeds) -> np.ndarray:
     return ((z >> _S11).astype(np.float64) + 1.0) * _TWO_NEG_53
 
 
-def derive_seed_vec(base: int, js) -> np.ndarray:
-    """Vectorized :func:`derive_seed` for an array of indices."""
+def derive_seed_vec(base, js) -> np.ndarray:
+    """Vectorized :func:`derive_seed`; bases and indices broadcast together."""
+    base = np.asarray(base, dtype=np.uint64)
     js = np.asarray(js, dtype=np.uint64)
-    return fin64_vec(_U64(base) + js * _VGOLDEN)
+    return fin64_vec(base + js * _VGOLDEN)

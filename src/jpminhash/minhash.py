@@ -7,8 +7,8 @@ hashed with the same seed collide with probability equal to their ``jp``
 similarity, and the marginal law of the sample is the distribution itself.
 
 Also provided: k-hash signatures with derived per-position seeds, a batched
-sampler for Monte-Carlo work, a tree-structured sampler that trades collision
-mass between elements, and a collision-frequency estimator.
+signature sampler over many vectors at once, a tree-structured sampler that
+trades collision mass between elements, and a collision-frequency estimator.
 """
 
 from __future__ import annotations
@@ -91,24 +91,29 @@ def signature(x: SparseVector, base_seed: int, k: int, doc_id: str = "") -> Sign
 
 
 class _PackedVectors:
-    """Padded id/mass matrices for sampling many vectors in one shot."""
+    """Padded id/mass matrices for sampling many vectors in one shot.
+
+    Short rows are padded with copies of their own first entry.  A copy draws
+    the same key as the entry it copies and, coming later, loses the argmin
+    tie to it, so padding never changes a sample.
+    """
 
     def __init__(self, vecs: Sequence[SparseVector]):
         if not vecs:
             raise ValueError("no vectors to pack")
         if any(not v.entries for v in vecs):
             raise ValueError("cannot hash an empty vector")
-        width = max(len(v.entries) for v in vecs)
         n = len(vecs)
         self.row_len = np.array([len(v.entries) for v in vecs])
-        self.ids = np.zeros((n, width), dtype=np.uint64)
-        self.masses = np.zeros((n, width))
+        width = int(self.row_len.max())
+        self.ids = np.empty((n, width), dtype=np.uint64)
+        self.masses = np.empty((n, width))
         for r, v in enumerate(vecs):
             w = len(v.entries)
             self.ids[r, :w] = v.ids
+            self.ids[r, w:] = v.ids[0]
             self.masses[r, :w] = v.masses
-        self.valid = self.masses > 0.0
-        self.safe_masses = np.where(self.valid, self.masses, 1.0)
+            self.masses[r, w:] = v.masses[0]
 
     def sample(self, seeds, chunk: int = 512) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""
@@ -119,12 +124,7 @@ class _PackedVectors:
             hi = min(lo + chunk, n)
             w = int(self.row_len[lo:hi].max())  # skip padding shared by the chunk
             u = uniform_hash_vec(self.ids[lo:hi, :w, None], seeds[None, None, :])
-            keys = np.where(
-                self.valid[lo:hi, :w, None],
-                -np.log(u) / self.safe_masses[lo:hi, :w, None],
-                np.inf,
-            )
-            pos = np.argmin(keys, axis=1)
+            pos = np.argmin(-np.log(u) / self.masses[lo:hi, :w, None], axis=1)
             out[lo:hi] = np.take_along_axis(self.ids[lo:hi], pos, axis=1)
         return out
 

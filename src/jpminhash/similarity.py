@@ -154,9 +154,8 @@ def total_variation(x: SparseDistribution, y: SparseDistribution) -> float:
     return float(0.5 * np.abs(ux - uy).sum())
 
 
-def jsd(x: SparseDistribution, y: SparseDistribution) -> float:
-    """Jensen-Shannon divergence in bits (base-2 logs, 0 log 0 = 0)."""
-    _, ux, uy = _aligned(x, y)
+def _jsd_from(ux: np.ndarray, uy: np.ndarray) -> float:
+    """Jensen-Shannon divergence in bits of two aligned mass arrays."""
     m = 0.5 * (ux + uy)
     acc = 0.0
     for v in (ux, uy):
@@ -164,6 +163,12 @@ def jsd(x: SparseDistribution, y: SparseDistribution) -> float:
         acc += 0.5 * float((v[pos] * np.log2(v[pos] / m[pos])).sum())
     # rounding can leave ~1e-16 excursions outside [0, 1]
     return min(1.0, max(0.0, acc))
+
+
+def jsd(x: SparseDistribution, y: SparseDistribution) -> float:
+    """Jensen-Shannon divergence in bits (base-2 logs, 0 log 0 = 0)."""
+    _, ux, uy = _aligned(x, y)
+    return _jsd_from(ux, uy)
 
 
 def _half_xlog2(w: float) -> float:
@@ -277,16 +282,11 @@ class SimilarityReport:
 def similarity_report(x: SparseDistribution, y: SparseDistribution) -> SimilarityReport:
     """Compute every supported measure for the pair (one alignment pass)."""
     ids, ux, uy = _aligned(x, y)
-    m = 0.5 * (ux + uy)
-    jsd_val = 0.0
-    for v in (ux, uy):
-        pos = v > 0.0
-        jsd_val += 0.5 * float((v[pos] * np.log2(v[pos] / m[pos])).sum())
     inter = (ux > 0.0) & (uy > 0.0)
     return SimilarityReport(
         jp=float(_terms_from(ids, ux, uy).sum()),
         jw=float(np.minimum(ux, uy).sum() / np.maximum(ux, uy).sum()),
         support_jaccard=float(inter.sum()) / ids.shape[0],
         tv=float(0.5 * np.abs(ux - uy).sum()),
-        jsd=min(1.0, max(0.0, jsd_val)),
+        jsd=_jsd_from(ux, uy),
     )

@@ -35,11 +35,6 @@ class CheckResult:
     detail: str
 
 
-def _rand_dist(rng: np.random.Generator, ids: np.ndarray) -> SparseDistribution:
-    masses = np.maximum(rng.exponential(size=ids.shape[0]), 1e-12)
-    return normalize(SparseVector.from_pairs(zip(ids.tolist(), masses.tolist())))
-
-
 def _rand_pair(
     rng: np.random.Generator, max_side: int = 30
 ) -> tuple[SparseDistribution, SparseDistribution]:
@@ -48,8 +43,8 @@ def _rand_pair(
     only_x = int(rng.integers(0 if shared else 1, max_side + 1))
     only_y = int(rng.integers(0 if shared else 1, max_side + 1))
     pool = rng.choice(1_000_000, size=shared + only_x + only_y, replace=False).astype(np.uint64)
-    x = _rand_dist(rng, pool[: shared + only_x])
-    y = _rand_dist(rng, np.concatenate([pool[:shared], pool[shared + only_x :]]))
+    x = harness._exp_dist(rng, pool[: shared + only_x])
+    y = harness._exp_dist(rng, np.concatenate([pool[:shared], pool[shared + only_x :]]))
     return x, y
 
 
@@ -186,9 +181,9 @@ def check_metric(n_triples: int = 2000) -> CheckResult:
     rng = np.random.default_rng(29)
     for _ in range(n_triples):
         pool = rng.choice(10_000, size=18, replace=False).astype(np.uint64)
-        x = _rand_dist(rng, pool[rng.random(18) < 0.6])
-        y = _rand_dist(rng, pool[rng.random(18) < 0.6])
-        z = _rand_dist(rng, pool[rng.random(18) < 0.6])
+        x = harness._exp_dist(rng, pool[rng.random(18) < 0.6])
+        y = harness._exp_dist(rng, pool[rng.random(18) < 0.6])
+        z = harness._exp_dist(rng, pool[rng.random(18) < 0.6])
         dxy = 1.0 - similarity.jp(x, y)
         dxz = 1.0 - similarity.jp(x, z)
         dyz = 1.0 - similarity.jp(y, z)

@@ -217,6 +217,30 @@ def test_index_build_and_query_roundtrip():
         assert len(docs) == len(set(docs))  # once per band per document
 
 
+@pytest.mark.parametrize("a, o", [(1, 2), (2, 4)])
+def test_empirical_retrieval_agrees_with_index_and_query(a, o):
+    from jpminhash.harness import Document
+    from jpminhash.hashing import derive_seed
+
+    pairs = synth_pairs(60, seed=8)
+    task = Task.parse("jsd<0.25")
+    positives = [task.is_positive(s) for s in pairs.scores]
+    runs = empirical_retrieval_runs(pairs, task, a, o, replicates=3, seed=5)
+    corpus = [Document(s.id_a, pairs.dists[s.id_a]) for s in pairs.scores]
+    for r, got in enumerate(runs):
+        scheme = BandingScheme(a, o, base_seed=derive_seed(5, r))
+        index = index_build(corpus, scheme)
+        for doc in corpus:
+            keys = band_keys(signature(doc.dist, scheme.base_seed, scheme.k).samples, scheme)
+            posted = {bk for bk, docs in index.buckets.items() if doc.doc_id in docs}
+            assert posted == set(enumerate(keys))
+        retrieved = [s.id_a in query(index, pairs.dists[s.id_b]) for s in pairs.scores]
+        hits = sum(q and p for q, p in zip(retrieved, positives))
+        n_retrieved = sum(retrieved)
+        assert 0 < n_retrieved < len(retrieved)
+        assert got == (hits / n_retrieved, hits / sum(positives))
+
+
 def test_index_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty"):
         index_build([], BandingScheme(1, 1))

@@ -108,6 +108,16 @@ def test_cli_missing_file_is_validation_error(tmp_path, capsys):
     assert run(["sim", "--pairs", str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 1
 
 
+def test_cli_overflowing_weights_name_the_corpus(tmp_path, capsys):
+    corpus = tmp_path / "huge.jsonl"
+    _write_corpus(corpus, [{"id": "a", "weights": {"u": 1e308, "v": 1e308}}])
+    out = tmp_path / "sigs.jsonl"
+    assert run(["hash", "--corpus", str(corpus), "--k", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge.jsonl" in err
+    assert not out.exists()
+
+
 def test_cli_sim_identical_vectors(tmp_path):
     corpus = tmp_path / "pairs.jsonl"
     _write_corpus(corpus, [{"id": "a", "text": "x y"}, {"id": "b", "text": "x y"}])
