@@ -244,6 +244,11 @@ def amplify(p: float, a: int, o: int) -> float:
         raise ValueError("p must lie in [0, 1]")
     if a < 1 or o < 1:
         raise ValueError("a and o must be positive")
+    return _amplify(p, a, o)
+
+
+def _amplify(p, a: int, o: int):
+    """``1 - (1 - p**a)**o`` on a float or elementwise on an array, unchecked."""
     return 1.0 - (1.0 - p**a) ** o
 
 
@@ -394,6 +399,8 @@ def eval_curves(
     positives = np.array([task.is_positive(s) for s in pairs.scores])
     if not positives.any():
         raise ValueError("degenerate task")
+    for a, o in grid:
+        BandingScheme(a, o)  # validates a, o
     weights = np.array([s.weight for s in pairs.scores])
     points: list[PRPoint] = []
     if mode == "analytic":
@@ -402,8 +409,7 @@ def eval_curves(
             ("JW", np.array([s.jw for s in pairs.scores])),
         ):
             for a, o in grid:
-                q = 1.0 - (1.0 - p_vals**a) ** o
-                precision, recall = _weighted_pr(weights, positives, q)
+                precision, recall = _weighted_pr(weights, positives, _amplify(p_vals, a, o))
                 points.append(PRPoint(method, a, o, o, precision, recall, "analytic"))
         return points
     for a, o in grid:
@@ -427,6 +433,8 @@ def empirical_retrieval_runs(
     """
     if isinstance(task, str):
         task = Task.parse(task)
+    if replicates < 1:
+        raise ValueError("replicates must be positive")
     if pairs.dists is None:
         raise ValueError("empirical mode needs pair distributions")
     positives = np.array([task.is_positive(s) for s in pairs.scores])

@@ -9,12 +9,14 @@ decimal strings to survive JSON consumers that truncate to 53-bit integers.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dense import FiniteMeasure, PiecewiseDensity
 from .harness import BandingScheme, InvertedIndex, PairSample, PairScore, PRPoint
 from .minhash import Signature
+from .sparse import MAX_ID
 
 __all__ = [
     "VERSION_HEADER",
@@ -254,27 +256,59 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
     meta = _load_json_line(path, lineno, line)
     if meta.get("kind") != "index":
         raise ValueError(f"{path}:{lineno}: expected index metadata line")
-    scheme = BandingScheme(
-        a=int(_require(meta, "a", path, lineno)),
-        o=int(_require(meta, "o", path, lineno)),
-        base_seed=int(_require(meta, "seed", path, lineno)),
-    )
+    a, o, seed = (_require(meta, field, path, lineno) for field in ("a", "o", "seed"))
+    try:
+        scheme = BandingScheme(a=int(a), o=int(o), base_seed=int(seed))
+        if not 0 <= scheme.base_seed <= MAX_ID:
+            raise ValueError("seed must fit in 64 bits")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     buckets: dict[tuple[int, int], tuple[str, ...]] = {}
     for lineno, line in rows[1:]:
         obj = _load_json_line(path, lineno, line)
-        band = int(_require(obj, "band", path, lineno))
-        key = int(_require(obj, "key", path, lineno))
-        buckets[(band, key)] = tuple(_require(obj, "docs", path, lineno))
+        try:
+            band, key, docs = int(obj["band"]), int(obj["key"]), obj["docs"]
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not isinstance(docs, list):
+            raise ValueError(f"{path}:{lineno}: 'docs' must be a list")
+        buckets[(band, key)] = tuple(docs)
     return InvertedIndex(buckets, scheme)
 
 
 def read_corpus_jsonl(path: str | Path) -> list[dict]:
-    """Raw corpus records: each line needs 'id' plus 'text' or 'weights'."""
+    """Raw corpus records: each line needs 'id' plus 'text' or 'weights'.
+
+    'id' and 'text' must be strings; 'weights' an object of finite
+    non-negative numbers.
+    """
     records = []
     for lineno, line in _data_lines(path):
         obj = _load_json_line(path, lineno, line)
-        _require(obj, "id", path, lineno)
-        if "text" not in obj and "weights" not in obj:
+        if not isinstance(_require(obj, "id", path, lineno), str):
+            raise ValueError(f"{path}:{lineno}: 'id' must be a string")
+        if "text" in obj:
+            if not isinstance(obj["text"], str):
+                raise ValueError(f"{path}:{lineno}: 'text' must be a string")
+        elif "weights" in obj:
+            _check_weights(obj["weights"], path, lineno)
+        else:
             raise ValueError(f"{path}:{lineno}: need either 'text' or 'weights'")
         records.append(obj)
     return records
+
+
+def _check_weights(weights, path: str | Path, lineno: int) -> None:
+    if not isinstance(weights, dict):
+        raise ValueError(f"{path}:{lineno}: 'weights' must be a JSON object")
+    for token, w in weights.items():
+        try:
+            ok = 0.0 <= float(w) < math.inf
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"{path}:{lineno}: weight of {token!r} must be a finite non-negative number, got {w!r}"
+            )

@@ -38,6 +38,19 @@ __all__ = [
 _SEED_CHUNK = 65536
 
 
+def _key_masses(masses: np.ndarray) -> np.ndarray:
+    """Masses scaled by the power of two that brings the largest into [0.5, 1).
+
+    Keys ``-log(u) / mass`` then stay finite for subnormal masses and normal
+    for huge ones.  Scaling by a power of two is exact while the scaled masses
+    stay normal floats, and it scales every key by that same power, so the
+    keys keep their order and every sample is that of the unscaled masses.
+    A matrix is scaled row by row.
+    """
+    _, exp = np.frexp(masses.max(axis=-1, keepdims=True))
+    return np.ldexp(masses, -exp)
+
+
 def pminhash(x: SparseVector, seed: int) -> int:
     """Sample one element id: argmin of per-element exponential keys.
 
@@ -48,7 +61,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
         raise ValueError("cannot hash an empty vector")
     best_key = math.inf
     best_id = -1
-    for eid, mass in x.entries:
+    for eid, mass in zip(x.ids.tolist(), _key_masses(x.masses).tolist()):
         key = -math.log(uniform_hash(eid, seed)) / mass
         if key < best_key:  # strict: first (= smallest) id wins ties
             best_key = key
@@ -62,7 +75,7 @@ def pminhash_many(x: SparseVector, seeds) -> np.ndarray:
         raise ValueError("cannot hash an empty vector")
     seeds = np.asarray(seeds, dtype=np.uint64)
     u = uniform_hash_vec(x.ids[:, None], seeds[None, :])
-    keys = -np.log(u) / x.masses[:, None]
+    keys = -np.log(u) / _key_masses(x.masses)[:, None]
     return x.ids[np.argmin(keys, axis=0)]
 
 
@@ -114,6 +127,7 @@ class _PackedVectors:
             self.ids[r, w:] = v.ids[0]
             self.masses[r, :w] = v.masses
             self.masses[r, w:] = v.masses[0]
+        self.masses = _key_masses(self.masses)
 
     def sample(self, seeds, chunk: int = 512) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""

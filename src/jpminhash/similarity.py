@@ -131,12 +131,17 @@ def jp_terms(x: SparseDistribution, y: SparseDistribution) -> PerTermDecompositi
     return PerTermDecomposition(tuple((int(i), float(t)) for i, t in zip(ids, terms)))
 
 
+def _jw_from(ux: np.ndarray, uy: np.ndarray) -> float:
+    """Weighted Jaccard of two aligned mass arrays."""
+    return float(np.minimum(ux, uy).sum() / np.maximum(ux, uy).sum())
+
+
 def jw(x: SparseVector, y: SparseVector) -> float:
     """Weighted Jaccard: sum of elementwise minima over sum of maxima."""
     if not x.entries and not y.entries:
         raise ValueError("both inputs are empty")
     _, ux, uy = _aligned(x, y)
-    return float(np.minimum(ux, uy).sum() / np.maximum(ux, uy).sum())
+    return _jw_from(ux, uy)
 
 
 def support_jaccard(x: SparseVector, y: SparseVector) -> float:
@@ -148,10 +153,15 @@ def support_jaccard(x: SparseVector, y: SparseVector) -> float:
     return len(a & b) / len(a | b)
 
 
+def _tv_from(ux: np.ndarray, uy: np.ndarray) -> float:
+    """Total variation distance of two aligned mass arrays."""
+    return float(0.5 * np.abs(ux - uy).sum())
+
+
 def total_variation(x: SparseDistribution, y: SparseDistribution) -> float:
     """Total variation distance: half the L1 distance between distributions."""
     _, ux, uy = _aligned(x, y)
-    return float(0.5 * np.abs(ux - uy).sum())
+    return _tv_from(ux, uy)
 
 
 def _jsd_from(ux: np.ndarray, uy: np.ndarray) -> float:
@@ -285,8 +295,8 @@ def similarity_report(x: SparseDistribution, y: SparseDistribution) -> Similarit
     inter = (ux > 0.0) & (uy > 0.0)
     return SimilarityReport(
         jp=float(_terms_from(ids, ux, uy).sum()),
-        jw=float(np.minimum(ux, uy).sum() / np.maximum(ux, uy).sum()),
+        jw=_jw_from(ux, uy),
         support_jaccard=float(inter.sum()) / ids.shape[0],
-        tv=float(0.5 * np.abs(ux - uy).sum()),
+        tv=_tv_from(ux, uy),
         jsd=_jsd_from(ux, uy),
     )

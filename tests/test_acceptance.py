@@ -1,389 +1,123 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every statistical check uses fixed seeds, so each criterion is deterministic:
-the binomial four-sigma bands were verified to contain the pinned estimates.
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
+Each criterion runs one check of the property suite in ``jpminhash.verify``
+at the criterion's own sizes and seeds; ``jpminhash verify`` runs the same
+checks at smaller sizes.  Every statistical check uses fixed seeds, so each
+criterion is deterministic: the binomial four-sigma bands were verified to
+contain the pinned estimates.  Run with ``pytest -s tests/test_acceptance.py``
+to see the per-criterion lines.
 """
 
-import math
+import inspect
 import time
 
-import numpy as np
 import pytest
-from scipy.stats import chisquare
 
-from helpers import REF_X, REF_Y, rand_dist, rand_pair, sigma_band, uniform_on
-from jpminhash.dense import FiniteMeasure, astar_pminhash
-from jpminhash.harness import (
-    DEFAULT_GRID,
-    Task,
-    amplify,
-    banded_collision_frequency,
-    check_jsd_tv_direction,
-    divergence_summary,
-    empirical_retrieval_runs,
-    eval_curves,
-    synth_pairs,
-)
-from jpminhash.io import write_pair_csv, write_pr_csv
-from jpminhash.minhash import (
-    WeightTree,
-    collision_estimate,
-    pminhash,
-    pminhash_many,
-    tree_pminhash_many,
-)
-from jpminhash.similarity import (
-    adversarial_z,
-    construct_lower_pair,
-    construct_upper_pair,
-    jp,
-    jp_naive,
-    jp_terms,
-    jw,
-    total_variation,
-)
-from jpminhash.sparse import Partition, SparseVector, coarsen, normalize
+from jpminhash import harness, verify
 
 
-def _report(num: int, name: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"criterion {num} ({name}): {detail}"
-
-
-@pytest.fixture(scope="module")
-def thousand_pairs():
-    rng = np.random.default_rng(1001)
-    return [rand_pair(rng, max_side=100) for _ in range(1000)]
+def _report(
+    num: int, result: verify.CheckResult, time_limit: float | None = None, start: float = 0.0
+) -> None:
+    """Print the criterion's line and assert it; with a limit, the time since start counts too."""
+    ok, detail = result.passed, result.detail
+    if time_limit is not None:
+        elapsed = time.perf_counter() - start
+        ok = ok and elapsed < time_limit
+        detail = f"{detail}; {elapsed:.2f}s of {time_limit:g}s allowed"
+    print(f"ACCEPTANCE {num:02d} {result.name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, f"criterion {num} ({result.name}): {detail}"
 
 
 @pytest.fixture(scope="module")
 def synth5000():
-    return synth_pairs(5000, seed=3)
+    return harness.synth_pairs(5000, seed=3)
 
 
-def test_criterion_01_oracle_equivalence(thousand_pairs):
+def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    for x, y in thousand_pairs:
-        worst = max(worst, abs(jp(x, y) - jp_naive(x, y)))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 5.0
-    _report(1, "oracle-equivalence", ok, f"max dev {worst:.3g} over 1000 pairs in {elapsed:.2f}s")
+    _report(1, verify.check_oracle_equivalence(1000, seed=1001, max_side=100), 5.0, start)
 
 
 def test_criterion_02_collision_law():
     start = time.perf_counter()
-    rng = np.random.default_rng(2002)
-    pairs = [(REF_X, REF_Y), (REF_X, REF_X)]
-    a = normalize(SparseVector(((0, 1.0),)))
-    b = normalize(SparseVector(((1, 1.0),)))
-    pairs.append((a, b))
-    pairs.extend(rand_pair(rng, max_side=12) for _ in range(17))
-    assert len(pairs) == 20
-    n = 200_000
-    assert jp(REF_X, REF_Y) == pytest.approx(79.0 / 130.0, abs=1e-12)
-    worst_pull = 0.0
-    for i, (x, y) in enumerate(pairs):
-        p = jp(x, y)
-        est = collision_estimate(x, y, 7000 + i, n)
-        band = sigma_band(p, n)
-        pull = abs(est - p) / band if band else abs(est - p)
-        worst_pull = max(worst_pull, pull)
-        if abs(est - p) > band:
-            _report(2, "collision-law", False, f"pair {i}: {est:.6f} vs {p:.6f} band {band:.6f}")
-    elapsed = time.perf_counter() - start
-    ok = elapsed < 60.0
-    _report(2, "collision-law", ok, f"20 pairs, worst pull {worst_pull:.2f} sigma-units of 4, {elapsed:.1f}s")
+    result = verify.check_collision_law(20, n_seeds=200_000, seed=2002, base_seed=7000)
+    _report(2, result, 60.0, start)
 
 
 def test_criterion_03_marginal_law():
-    dists = [
-        REF_X,
-        REF_Y,
-        uniform_on(range(10)),
-        normalize(SparseVector(((0, 0.96), (1, 0.01), (2, 0.01), (3, 0.01), (4, 0.01)))),
-        normalize(SparseVector(tuple((i, 2.0**-i) for i in range(1, 9)))),
-    ]
-    n = 200_000
-    worst_p = 1.0
-    for j, d in enumerate(dists):
-        samples = pminhash_many(d, np.arange(j * n, (j + 1) * n, dtype=np.uint64))
-        counts = np.array([(samples == eid).sum() for eid, _ in d.entries])
-        _, pvalue = chisquare(counts, d.masses * n)
-        worst_p = min(worst_p, float(pvalue))
-    _report(3, "marginal-law", worst_p > 0.001, f"5 distributions, min chi-square p {worst_p:.4f}")
+    _report(3, verify.check_marginal_law(200_000, seed=0))
 
 
 def test_criterion_04_dense_sparse_agreement():
-    rng = np.random.default_rng(4004)
-    mismatches = 0
-    early_violations = 0
-    for _ in range(1000):
-        n = int(rng.integers(2, 40))
-        masses = rng.exponential(size=n)
-        masses[rng.random(n) < 0.15] = 0.0  # exercise zero-mass skipping
-        if masses.sum() == 0.0:
-            masses[0] = 1.0
-        mu = FiniteMeasure(tuple(masses.tolist()))
-        lam = FiniteMeasure((1.0,) * n)
-        seed = int(rng.integers(0, 2**63))
-        res = astar_pminhash(mu, lam, seed)
-        full = astar_pminhash(mu, lam, seed, early_termination=False)
-        sparse_sample = pminhash(SparseVector.from_dense(masses.tolist()), seed)
-        if res.sample != sparse_sample:
-            mismatches += 1
-        if res.sample != full.sample:
-            early_violations += 1
-    ok = mismatches == 0 and early_violations == 0
-    _report(4, "dense-sparse-agreement", ok, f"1000 cases, {mismatches} mismatches, {early_violations} early-stop diffs")
+    _report(4, verify.check_dense_sparse(1000, seed=4004))
 
 
-def test_criterion_05_sandwich_and_constructions(thousand_pairs, synth5000):
-    worst_sandwich = 0.0
-    worst_identity = 0.0
-    for x, y in thousand_pairs:
-        jp_v, jw_v, tv_v = jp(x, y), jw(x, y), total_variation(x, y)
-        worst_sandwich = max(worst_sandwich, jw_v - jp_v, jp_v - 2.0 * jw_v / (1.0 + jw_v))
-        worst_identity = max(worst_identity, abs(jw_v - (1.0 - tv_v) / (1.0 + tv_v)))
-    for s in synth5000.scores:
-        worst_sandwich = max(worst_sandwich, s.jw - s.jp, s.jp - 2.0 * s.jw / (1.0 + s.jw))
-        worst_identity = max(worst_identity, abs(s.jw - (1.0 - s.tv) / (1.0 + s.tv)))
-    rng = np.random.default_rng(5005)
-    worst_lower = 0.0
-    for x, y in thousand_pairs[:100]:
-        xl, yl = construct_lower_pair(x, y)
-        worst_lower = max(worst_lower, abs(jp(xl, yl) - jw(x, y)))
-    worst_upper = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 12))
-        p = float(rng.uniform(0.0, 0.95))
-        masses = rng.exponential(size=n)
-        masses = masses / masses.sum() * (1.0 - p)
-        shared = SparseVector(tuple(zip(range(n), masses.tolist())))
-        cut = int(rng.integers(1, n))
-        xu, yu = construct_upper_pair(shared, p, Partition.of(range(cut), range(cut, n)))
-        worst_upper = max(worst_upper, abs(jp(xu, yu) - (1.0 - p)))
-    ok = worst_sandwich <= 1e-9 and worst_identity <= 1e-9 and worst_lower <= 1e-9 and worst_upper <= 1e-9
-    _report(
-        5,
-        "sandwich-and-constructions",
-        ok,
-        f"sandwich slack {worst_sandwich:.3g}, identity {worst_identity:.3g}, "
-        f"lower {worst_lower:.3g}, upper {worst_upper:.3g}",
-    )
+def test_criterion_05_sandwich_and_constructions(synth5000):
+    _report(5, verify.check_sandwich_and_constructions(
+        1000, seed=1001, max_side=100, construction_seed=5005, sample=synth5000
+    ))
 
 
 def test_criterion_06_uniform_reduction():
-    rng = np.random.default_rng(6006)
-    worst_reduction = 0.0
-    for _ in range(1000):
-        shared = int(rng.integers(0, 40))
-        nx = int(rng.integers(0 if shared else 1, 40))
-        ny = int(rng.integers(0 if shared else 1, 40))
-        pool = rng.choice(100_000, size=shared + nx + ny, replace=False)
-        x = uniform_on(pool[: shared + nx])
-        y = uniform_on(np.concatenate([pool[:shared], pool[shared + nx :]]))
-        from jpminhash.similarity import support_jaccard
-
-        worst_reduction = max(worst_reduction, abs(jp(x, y) - support_jaccard(x, y)))
-    worst_eq1 = 0.0
-    for _ in range(200):
-        big = int(rng.integers(2, 40))
-        small = int(rng.integers(1, big))
-        overlap = int(rng.integers(1, small + 1))
-        pool = rng.choice(100_000, size=big + small - overlap, replace=False)
-        x = uniform_on(pool[:big])
-        y = uniform_on(np.concatenate([pool[:overlap], pool[big : big + small - overlap]]))
-        expected = overlap / ((big - overlap) + big)
-        worst_eq1 = max(worst_eq1, abs(jw(x, y) - expected))
-    ok = worst_reduction <= 1e-12 and worst_eq1 <= 1e-12
-    _report(6, "uniform-reduction", ok, f"set-jaccard dev {worst_reduction:.3g}, indicator jw dev {worst_eq1:.3g}")
+    _report(6, verify.check_uniform_reduction(1000, seed=6006))
 
 
 def test_criterion_07_structural_properties():
-    rng = np.random.default_rng(7007)
-    for i in range(1000):
-        x, y = rand_pair(rng, max_side=8)
-        terms = jp_terms(x, y)
-        saturated = 0
-        for eid, t in terms.terms:
-            cap = min(x.mass_of(eid), y.mass_of(eid))
-            if t > cap + 1e-12:
-                _report(7, "structural-properties", False, f"term cap broken on pair {i}")
-            if abs(t - cap) <= 1e-12:
-                saturated += 1
-        if len(terms.terms) >= 2 and saturated < 2:
-            _report(7, "structural-properties", False, f"under-saturated pair {i}")
-    for i in range(200):
-        m = int(rng.integers(2, 6))
-        blocks = [rand_dist(rng, np.arange(100 * k, 100 * k + rng.integers(1, 5), dtype=np.uint64)) for k in range(m)]
-        alpha = np.maximum(rng.exponential(size=m), 1e-9)
-        beta = np.maximum(rng.exponential(size=m), 1e-9)
-        alpha /= alpha.sum()
-        beta /= beta.sum()
-        x = normalize(SparseVector.from_pairs(
-            (eid, alpha[k] * mass) for k, w in enumerate(blocks) for eid, mass in w.entries
-        ))
-        y = normalize(SparseVector.from_pairs(
-            (eid, beta[k] * mass) for k, w in enumerate(blocks) for eid, mass in w.entries
-        ))
-        combo = jp(x, y)
-        direct = jp(normalize(SparseVector.from_pairs(enumerate(alpha))),
-                    normalize(SparseVector.from_pairs(enumerate(beta))))
-        if abs(combo - direct) > 1e-9:
-            _report(7, "structural-properties", False, f"disjoint combination off by {abs(combo - direct):.3g}")
-    for i in range(200):
-        x, y = rand_pair(rng, max_side=6)
-        base = jp(x, y)
-        for a in sorted(x.support & y.support):
-            z = adversarial_z(x, y, a)
-            if jp(x, z) < base - 1e-9 or jp(y, z) < base - 1e-9:
-                _report(7, "structural-properties", False, f"dominance broken at element {a}")
-    for i in range(200):
-        x, y = rand_pair(rng, max_side=8)
-        union = sorted(x.support | y.support)
-        labels = rng.integers(0, max(1, len(union) // 2), size=len(union))
-        groups: dict[int, set[int]] = {}
-        for eid, lab in zip(union, labels):
-            groups.setdefault(int(lab), set()).add(eid)
-        part = Partition(tuple(frozenset(g) for g in groups.values()))
-        if jp(coarsen(x, part), coarsen(y, part)) < jp(x, y) - 1e-9:
-            _report(7, "structural-properties", False, f"coarsening decreased jp on pair {i}")
-    _report(7, "structural-properties", True, "caps, saturation, combination, dominance, coarsening all held")
+    _report(7, verify.check_structural_properties(1000, seed=7007))
 
 
 def test_criterion_08_metric_triangle():
-    rng = np.random.default_rng(8008)
-    violations = 0
-    for _ in range(10_000):
-        pool = rng.choice(100_000, size=15, replace=False).astype(np.uint64)
-        picks = []
-        for _ in range(3):
-            mask = rng.random(15) < 0.7
-            if not mask.any():
-                mask[0] = True
-            picks.append(pool[mask])
-        x, y, z = (rand_dist(rng, p) for p in picks)
-        if 1.0 - jp(x, y) > (1.0 - jp(x, z)) + (1.0 - jp(y, z)) + 1e-12:
-            violations += 1
-    _report(8, "metric-triangle", violations == 0, f"10000 triples, {violations} violations")
+    _report(8, verify.check_metric(10_000, seed=8008))
 
 
 def test_criterion_09_tree_generalization():
-    rng = np.random.default_rng(9009)
-    cases = [(REF_X, REF_Y)]
-    for _ in range(4):
-        n = int(rng.integers(3, 7))
-        ids = np.arange(n, dtype=np.uint64)
-        cases.append((rand_dist(rng, ids), rand_dist(rng, ids)))
-    n_seeds = 200_000
-    worst_pull = 0.0
-    for j, (x, y) in enumerate(cases):
-        union = sorted(x.support | y.support)
-        prioritized = union[0]
-        tree = WeightTree.from_nested((prioritized, tuple(union[1:])))
-        seeds = np.arange(j * n_seeds, (j + 1) * n_seeds, dtype=np.uint64)
-        sx = tree_pminhash_many(tree, x, seeds)
-        sy = tree_pminhash_many(tree, y, seeds)
-        freq = float(np.mean((sx == prioritized) & (sy == prioritized)))
-        target = min(x.mass_of(prioritized), y.mass_of(prioritized))
-        band = sigma_band(target, n_seeds)
-        pull = abs(freq - target) / band if band else abs(freq - target)
-        worst_pull = max(worst_pull, pull)
-        if abs(freq - target) > band:
-            _report(9, "tree-generalization", False, f"case {j}: {freq:.5f} vs {target:.5f}")
-    _report(9, "tree-generalization", True, f"5 pairs, worst pull {worst_pull:.2f} sigma-units of 4")
+    _report(9, verify.check_tree_collision(5, n_seeds=200_000, seed=9009))
 
 
 def test_criterion_10_amplification():
-    assert amplify(0.5, 2, 3) == 0.578125
-    rng = np.random.default_rng(1010)
-    cases = [
-        (REF_X, REF_Y, 2, 8),
-        (*rand_pair(rng, max_side=6), 1, 3),
-        (*rand_pair(rng, max_side=6), 3, 2),
-    ]
-    reps = 10_000
-    worst_pull = 0.0
-    for j, (x, y, a, o) in enumerate(cases):
-        p = jp(x, y)
-        target = amplify(p, a, o)
-        freq = banded_collision_frequency(x, y, a, o, seed=600 + j, replicates=reps)
-        band = sigma_band(target, reps)
-        pull = abs(freq - target) / band if band else abs(freq - target)
-        worst_pull = max(worst_pull, pull)
-        if abs(freq - target) > band:
-            _report(10, "amplification", False, f"case {j}: {freq:.5f} vs {target:.5f} (a={a}, o={o})")
-    _report(10, "amplification", True, f"exact value plus 3 cases, worst pull {worst_pull:.2f} sigma-units of 4")
+    _report(10, verify.check_amplification(10_000, seed=1010, band_seed=600))
 
 
-def test_criterion_11_retrieval_curves(synth5000, tmp_path):
-    tasks = {"jsd<0.25": None, "jw>0.5": None}
-    for task_text in tasks:
-        points = eval_curves(synth5000, grid=DEFAULT_GRID, task=task_text, mode="analytic")
-        if len(points) != 2 * len(DEFAULT_GRID):
-            _report(11, "retrieval-curves", False, f"missing grid points for {task_text}")
-        for method in ("JP", "JW"):
-            rows = [p for p in points if p.method == method]
-            by_a: dict[int, list] = {}
-            by_o: dict[int, list] = {}
-            for p in rows:
-                by_a.setdefault(p.a, []).append(p)
-                by_o.setdefault(p.o, []).append(p)
-            for pts in by_a.values():
-                pts.sort(key=lambda p: p.o)
-                if any(p1.recall > p2.recall + 1e-12 for p1, p2 in zip(pts, pts[1:])):
-                    _report(11, "retrieval-curves", False, f"recall not increasing in o ({method})")
-            for pts in by_o.values():
-                pts.sort(key=lambda p: p.a)
-                if any(p1.recall < p2.recall - 1e-12 for p1, p2 in zip(pts, pts[1:])):
-                    _report(11, "retrieval-curves", False, f"recall not decreasing in a ({method})")
-        name = task_text.replace("<", "_lt_").replace(">", "_gt_")
-        write_pr_csv(tmp_path / f"pr_{name}.csv", points, comments=[f"task={task_text}", "seed=3"])
-        tasks[task_text] = points
-    # empirical agreement at (a=2, o=4), 50 replicates, 3 sigma of the
-    # replicate standard error, per coordinate
-    task = Task.parse("jsd<0.25")
-    (jp_point,) = [
-        p for p in eval_curves(synth5000, [(2, 4)], task, mode="analytic") if p.method == "JP"
-    ]
-    runs = empirical_retrieval_runs(synth5000, task, 2, 4, replicates=50, seed=5)
-    recalls = np.array([r[1] for r in runs])
-    precisions = np.array([r[0] for r in runs])
-    se_r = float(recalls.std(ddof=1) / math.sqrt(len(runs)))
-    se_p = float(precisions.std(ddof=1) / math.sqrt(len(runs)))
-    dr = abs(float(recalls.mean()) - jp_point.recall)
-    dp = abs(float(precisions.mean()) - jp_point.precision)
-    ok = dr <= 3.0 * se_r and dp <= 3.0 * se_p
-    # which method wins at low cost is corpus-dependent: report, don't assert
-    jp_low = [p for p in tasks["jsd<0.25"] if p.method == "JP" and p.o <= 8]
-    jw_low = [p for p in tasks["jsd<0.25"] if p.method == "JW" and p.o <= 8]
-    jp_mean = float(np.mean([p.recall for p in jp_low]))
-    jw_mean = float(np.mean([p.recall for p in jw_low]))
-    _report(
-        11,
-        "retrieval-curves",
-        ok,
-        f"96 analytic points per task; empirical (2,4): recall diff {dr:.5f} <= 3SE {3 * se_r:.5f}, "
-        f"precision diff {dp:.5f} <= 3SE {3 * se_p:.5f}; low-cost mean recall JP {jp_mean:.3f} vs JW {jw_mean:.3f} (reported)",
-    )
+def test_criterion_11_retrieval_curves(synth5000):
+    _report(11, verify.check_retrieval_curves(synth5000, replicates=50, seed=5))
 
 
-def test_criterion_12_divergence_scatter(synth5000, tmp_path):
-    direction = check_jsd_tv_direction(steps=400)
-    if not (direction.lower_holds and direction.upper_holds):
-        _report(12, "divergence-scatter", False, "exact two-element bounds failed")
-    summary = divergence_summary(synth5000)
-    write_pair_csv(tmp_path / "divergence_scatter.csv", synth5000, comments=["seed=3"])
-    ok = not direction.transposed_holds
-    _report(
-        12,
-        "divergence-scatter",
-        ok,
-        "verified direction d(tv) <= jsd <= tv on "
-        f"{direction.grid_pairs} grid pairs (printed direction transposed); "
-        f"jsd under d(1-jp) on {summary.frac_jsd_below_jp_curve:.5f} of {summary.n} pairs "
-        f"(max gap {summary.max_jsd_below_jp_curve:.5f}), exact-bound violations "
-        f"{summary.frac_jsd_below_d_of_tv:.5f}/{summary.frac_jsd_above_tv:.5f}",
-    )
+def test_criterion_12_divergence_scatter(synth5000):
+    _report(12, verify.check_divergence_scatter(synth5000, steps=400))
+
+
+def _checks_called(run) -> set[str]:
+    """Names of the verify checks ``run`` calls, each replaced by a passing stub."""
+    called: set[str] = set()
+
+    def stub(name):
+        def check(*args, **kwargs):
+            called.add(name)
+            return verify.CheckResult(name, True, "")
+
+        return check
+
+    with pytest.MonkeyPatch.context() as m:
+        for name, _ in inspect.getmembers(verify, inspect.isfunction):
+            if name.startswith("check_"):
+                m.setattr(verify, name, stub(name))
+        m.setattr(harness, "synth_pairs", lambda *args, **kwargs: None)
+        run()
+    return called
+
+
+def test_verify_and_acceptance_run_the_same_checks(capsys):
+    """A check that only one of ``jpminhash verify`` and the criteria runs fails here."""
+    criteria = [f for name, f in globals().items() if name.startswith("test_criterion_")]
+    assert len(criteria) == 12
+
+    def run_criteria():
+        for f in criteria:
+            f(**dict.fromkeys(inspect.signature(f).parameters))
+
+    by_verify = _checks_called(verify.run_all)
+    by_acceptance = _checks_called(run_criteria)
+    capsys.readouterr()  # the stubs' PASS lines are not acceptance results
+    assert by_verify == by_acceptance
+    assert len(by_verify) == 12

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from helpers import REF_JP, sigma_band
 from jpminhash.dense import (
     AStarResult,
     FiniteMeasure,
@@ -20,6 +19,7 @@ from jpminhash.hashing import derive_seed_vec
 from jpminhash.minhash import pminhash
 from jpminhash.similarity import jp
 from jpminhash.sparse import SparseDistribution, SparseVector
+from jpminhash.verify import REF_JP, sigma_band
 
 UNIFORM3 = FiniteMeasure((1.0, 1.0, 1.0))
 REF_MU = FiniteMeasure((0.5, 0.4, 0.1))

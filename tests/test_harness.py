@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from helpers import REF_JP, REF_X, REF_Y, sigma_band
 from jpminhash.harness import (
     DEFAULT_GRID,
     BandingScheme,
@@ -29,6 +28,7 @@ from jpminhash.harness import (
 from jpminhash.minhash import signature
 from jpminhash.similarity import jp, jsd, jw, total_variation
 from jpminhash.sparse import SparseDistribution
+from jpminhash.verify import REF_JP, REF_X, REF_Y, sigma_band
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_synth_pairs_corpus_mode():
 
 
 def test_mix_endpoints():
-    from helpers import rand_dist
+    from jpminhash.verify import rand_dist
     from jpminhash.harness import _mix
 
     rng = np.random.default_rng(40)

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from helpers import REF_X, REF_Y
 from jpminhash import io as jio
 from jpminhash.cli import run
 from jpminhash.dense import FiniteMeasure, PiecewiseDensity
 from jpminhash.harness import BandingScheme, PairSample, PairScore, index_build, ingest_text
 from jpminhash.minhash import signature
+from jpminhash.verify import REF_X, REF_Y
 
 
 # --- io round-trips -------------------------------------------------------------
@@ -223,6 +223,55 @@ def test_cli_eval_empirical_smoke(tmp_path):
     (point,) = jio.read_pr_csv(out)
     assert point.mode == "empirical"
     assert "replicate_seeds=" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid", "0x1"], ["--mode", "empirical", "--replicates", "0"]],
+    ids=["grid-0x1", "replicates-0"],
+)
+def test_cli_eval_rejects_degenerate_flags(tmp_path, capsys, flags):
+    out = tmp_path / "pr.csv"
+    assert run(["eval", "--synthetic", "20", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+_OK = '{"id": "a", "text": "ok"}\n'
+_HEADER = '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "0"}\n'
+
+# (case, file role, file text, line the error must name)
+MALFORMED = [
+    ("weights-list", "corpus", '{"id": "a", "weights": [1, 2]}', 1),
+    ("text-number", "corpus", '{"id": "a", "text": 5}', 1),
+    ("id-number", "corpus", _OK + '{"id": 7, "text": "ok"}', 2),
+    ("weight-negative", "corpus", _OK + '{"id": "b", "weights": {"u": -1.0}}', 2),
+    ("weight-nan", "corpus", '{"id": "a", "weights": {"u": NaN}}', 1),
+    ("weight-list", "corpus", '{"id": "a", "weights": {"u": [1]}}', 1),
+    ("weight-huge-int", "corpus", '{"id": "a", "weights": {"u": 1%s}}' % ("0" * 400), 1),
+    ("docs-number", "index", _HEADER + '{"band": 0, "key": "1", "docs": 5}', 2),
+    ("band-text", "index", _HEADER + '{"band": "x", "key": "1", "docs": ["a"]}', 2),
+    ("key-missing", "index", _HEADER + '{"band": 0, "docs": ["a"]}', 2),
+    ("seed-negative", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "-1"}', 1),
+    ("a-zero", "index", '{"v": 1, "kind": "index", "a": 0, "o": 2, "seed": "0"}', 1),
+    ("o-infinite", "index", '{"v": 1, "kind": "index", "a": 1, "o": Infinity, "seed": "0"}', 1),
+]
+
+
+@pytest.mark.parametrize(
+    "role,text,line", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_cli_malformed_records_name_path_and_line(tmp_path, capsys, role, text, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text + "\n")
+    if role == "corpus":
+        argv = ["hash", "--corpus", str(bad), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]
+    else:
+        doc = tmp_path / "doc.jsonl"
+        _write_corpus(doc, [{"id": "q", "text": "apple"}])
+        argv = ["query", "--index", str(bad), "--doc", str(doc)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
 
 
 def test_cli_bad_seed_rejected(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from helpers import REF_JP, REF_X, REF_Y, rand_dist, sigma_band
 from jpminhash.hashing import derive_seed
 from jpminhash.minhash import (
     Signature,
@@ -21,6 +20,7 @@ from jpminhash.minhash import (
 )
 from jpminhash.similarity import jp
 from jpminhash.sparse import SparseDistribution, SparseVector
+from jpminhash.verify import REF_JP, REF_X, REF_Y, rand_dist, sigma_band
 
 
 def test_single_element_always_wins():
@@ -44,11 +44,18 @@ def test_determinism_and_vector_agreement():
             assert pminhash(d, int(s)) == int(v)
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from([0.25, 3.0, 1e6, 1e-6]))
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([0.25, 3.0, 1e6, 1e-6, 1e-310, 1e300]),
+)
 @settings(max_examples=40, deadline=None)
 def test_scale_invariance_exact(seed, alpha):
     scaled = SparseVector(tuple((i, alpha * m) for i, m in REF_X.entries))
     assert pminhash(scaled, seed) == pminhash(REF_X, seed)
+    seeds = [derive_seed(seed, j) for j in range(4)]
+    want = pminhash_many(REF_X, seeds).tolist()
+    assert pminhash_many(scaled, seeds).tolist() == want
+    assert batch_signatures([scaled, REF_X], seed, 4).tolist() == [want, want]
 
 
 def test_permutation_invariance():
@@ -129,7 +136,7 @@ def test_collision_estimate_tracks_jp():
 def test_collision_estimate_random_pairs():
     rng = np.random.default_rng(22)
     n = 50_000
-    from helpers import rand_pair
+    from jpminhash.verify import rand_pair
 
     for trial in range(3):
         x, y = rand_pair(rng, max_side=10)

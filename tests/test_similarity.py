@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REF_JP, REF_JW, REF_TV, REF_X, REF_Y, rand_pair, uniform_on
 from jpminhash.similarity import (
     adversarial_z,
     bound_curves,
@@ -26,6 +25,7 @@ from jpminhash.similarity import (
     total_variation,
 )
 from jpminhash.sparse import Partition, SparseDistribution, SparseVector, normalize
+from jpminhash.verify import REF_JP, REF_JW, REF_TV, REF_X, REF_Y, rand_pair, uniform_on
 
 
 # --- strategies -----------------------------------------------------------
@@ -110,7 +110,7 @@ def test_metric_triangle_on_random_triples():
         pool = rng.choice(1000, size=15, replace=False).astype(np.uint64)
         picks = [pool[rng.random(15) < 0.7] for _ in range(3)]
         picks = [p if p.size else pool[:1] for p in picks]
-        from helpers import rand_dist
+        from jpminhash.verify import rand_dist
 
         x, y, z = (rand_dist(rng, p) for p in picks)
         assert 1.0 - jp(x, y) <= (1.0 - jp(x, z)) + (1.0 - jp(y, z)) + 1e-12
@@ -123,7 +123,7 @@ def test_disjoint_support_combination():
         blocks = []
         for k in range(m):
             ids = np.arange(100 * k, 100 * k + rng.integers(1, 6), dtype=np.uint64)
-            from helpers import rand_dist
+            from jpminhash.verify import rand_dist
 
             blocks.append(rand_dist(rng, ids))
         alpha = np.maximum(rng.exponential(size=m), 1e-9)
