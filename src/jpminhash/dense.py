@@ -262,29 +262,38 @@ def _astar_many_discrete(
     """Batched bounded search; returns (samples, iterations) per seed.
 
     Mirrors :func:`astar_pminhash` exactly: per-seed stream order, running
-    best, first stopping index, argmin among visited candidates.
+    best, first stopping index, argmin among visited candidates.  Seeds are
+    searched in blocks of about 2**15 (element, seed) cells, which changes no
+    result: each temporary stays near 256 kB, so the search runs in cache
+    whatever large blocks the allocator still holds from earlier work.
     """
     b = global_bound(mu, lam)
     seeds = np.asarray(seeds, dtype=np.uint64)
     ids = np.nonzero(lam.arr)[0]
-    u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, :])
-    lam_keys = -np.log(u) / lam.arr[ids][:, None]
-    order = np.argsort(lam_keys, axis=0, kind="stable")
-    e = np.take_along_axis(lam_keys, order, axis=0)
-    mu_vals = mu.arr[ids]
+    lam_vals, mu_vals = lam.arr[ids], mu.arr[ids]
     with np.errstate(divide="ignore"):
-        ratio = np.where(mu_vals > 0.0, lam.arr[ids] / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
-    rk = ratio[order]
-    keys = np.where(np.isinf(rk), np.inf, e * rk)
-    best = np.minimum.accumulate(keys, axis=0)
-    stop = best <= e / b
-    first = np.argmax(stop, axis=0)
-    first = np.where(stop.any(axis=0), first, ids.shape[0] - 1)
-    visited = np.arange(ids.shape[0])[:, None] <= first[None, :]
-    masked = np.where(visited, keys, np.inf)
-    arg = np.argmin(masked, axis=0)
-    stream_pos = np.take_along_axis(order, arg[None, :], axis=0)[0]
-    return ids[stream_pos], first + 1
+        ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
+    samples = np.empty(seeds.shape[0], dtype=ids.dtype)
+    iterations = np.empty(seeds.shape[0], dtype=np.intp)
+    step = max(1, (1 << 15) // ids.shape[0])
+    for lo in range(0, seeds.shape[0], step):
+        u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
+        lam_keys = -np.log(u) / lam_vals[:, None]
+        order = np.argsort(lam_keys, axis=0, kind="stable")
+        e = np.take_along_axis(lam_keys, order, axis=0)
+        rk = ratio[order]
+        keys = np.where(np.isinf(rk), np.inf, e * rk)
+        best = np.minimum.accumulate(keys, axis=0)
+        stop = best <= e / b
+        first = np.argmax(stop, axis=0)
+        first = np.where(stop.any(axis=0), first, ids.shape[0] - 1)
+        visited = np.arange(ids.shape[0])[:, None] <= first[None, :]
+        masked = np.where(visited, keys, np.inf)
+        arg = np.argmin(masked, axis=0)
+        stream_pos = np.take_along_axis(order, arg[None, :], axis=0)[0]
+        samples[lo : lo + step] = ids[stream_pos]
+        iterations[lo : lo + step] = first + 1
+    return samples, iterations
 
 
 def astar_collision(

@@ -11,9 +11,10 @@ divergence scatter summaries used by the verification suite.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,19 +73,28 @@ def token_element_id(token: str) -> int:
     return h
 
 
+_TOKEN = re.compile(r"[^\W_]+")  # runs of code points where str.isalnum() holds
+
+
 def _tokenize(text: str) -> list[str]:
-    # lowercase, split on any non-alphanumeric codepoint, drop empties
-    out: list[str] = []
-    cur: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            cur.append(ch)
-        elif cur:
-            out.append("".join(cur))
-            cur = []
-    if cur:
-        out.append("".join(cur))
-    return out
+    """Lowercase, split on any non-alphanumeric code point, drop empties."""
+    return _TOKEN.findall(text.lower())
+
+
+def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[Document], int]:
+    """Documents from (doc_id, token weights) records, skipping and counting empty ones."""
+    corpus: list[Document] = []
+    skipped = 0
+    for doc_id, weights in weighted:
+        v = SparseVector.from_arrays(
+            np.array([token_element_id(t) for t in weights], dtype=np.uint64),
+            [float(w) for w in weights.values()],
+        )
+        if len(v):
+            corpus.append(Document(doc_id=doc_id, dist=normalize(v)))
+        else:
+            skipped += 1
+    return corpus, skipped
 
 
 def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], int]:
@@ -92,19 +102,7 @@ def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], i
 
     Returns (corpus, skipped) where skipped counts documents with no tokens.
     """
-    corpus: list[Document] = []
-    skipped = 0
-    for doc_id, text in documents:
-        tokens = _tokenize(text)
-        if not tokens:
-            skipped += 1
-            continue
-        counts = Counter(tokens)
-        dist = normalize(
-            SparseVector.from_pairs((token_element_id(t), float(c)) for t, c in counts.items())
-        )
-        corpus.append(Document(doc_id=doc_id, dist=dist))
-    return corpus, skipped
+    return _corpus((doc_id, Counter(_tokenize(text))) for doc_id, text in documents)
 
 
 def corpus_from_records(records: Iterable[dict]) -> tuple[list[Document], int]:
@@ -112,22 +110,10 @@ def corpus_from_records(records: Iterable[dict]) -> tuple[list[Document], int]:
 
     Input order is preserved; empty documents are skipped and counted.
     """
-    corpus: list[Document] = []
-    skipped = 0
-    for rec in records:
-        if "text" in rec:
-            ingested, text_skipped = ingest_text([(rec["id"], rec["text"])])
-            corpus.extend(ingested)
-            skipped += text_skipped
-            continue
-        weights = rec["weights"]
-        pairs = [(token_element_id(t), float(w)) for t, w in weights.items() if float(w) != 0.0]
-        if not pairs:
-            skipped += 1
-            continue
-        dist = normalize(SparseVector.from_pairs(pairs))
-        corpus.append(Document(doc_id=rec["id"], dist=dist))
-    return corpus, skipped
+    return _corpus(
+        (rec["id"], Counter(_tokenize(rec["text"])) if "text" in rec else rec["weights"])
+        for rec in records
+    )
 
 
 @dataclass(frozen=True)
@@ -175,7 +161,7 @@ def score_pair(
 def _exp_dist(rng: np.random.Generator, ids: np.ndarray) -> SparseDistribution:
     masses = rng.exponential(size=ids.shape[0])
     masses = np.maximum(masses, 1e-12)  # exponential draws of exactly 0 are void
-    return normalize(SparseVector.from_pairs(zip(ids.tolist(), masses.tolist())))
+    return normalize(SparseVector.from_arrays(ids, masses))
 
 
 def synth_pairs(
@@ -233,9 +219,9 @@ def synth_pairs(
 
 
 def _mix(z: SparseDistribution, noise: SparseDistribution, t: float) -> SparseDistribution:
-    pairs = [(eid, (1.0 - t) * m) for eid, m in z.entries]
-    pairs.extend((eid, t * m) for eid, m in noise.entries)
-    return normalize(SparseVector.from_pairs(pairs))
+    ids = np.concatenate([z.ids, noise.ids])
+    masses = np.concatenate([(1.0 - t) * z.masses, t * noise.masses])
+    return normalize(SparseVector.from_arrays(ids, masses))
 
 
 def amplify(p: float, a: int, o: int) -> float:

@@ -191,7 +191,7 @@ def read_signatures_jsonl(path: str | Path) -> list[Signature]:
                     k=int(_require(obj, "k", path, lineno)),
                 )
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return sigs
 
@@ -231,7 +231,7 @@ def read_measures_jsonl(path: str | Path) -> list[tuple[str, FiniteMeasure | Pie
                 )
             else:
                 raise ValueError("need either 'masses' or 'breakpoints'")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
@@ -274,6 +274,10 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(docs, list):
             raise ValueError(f"{path}:{lineno}: 'docs' must be a list")
+        try:
+            "".join(docs)  # one C-level pass: raises unless every doc id is a string
+        except TypeError:
+            raise ValueError(f"{path}:{lineno}: 'docs' must hold string ids") from None
         buckets[(band, key)] = tuple(docs)
     return InvertedIndex(buckets, scheme)
 

@@ -7,8 +7,9 @@ hashed with the same seed collide with probability equal to their ``jp``
 similarity, and the marginal law of the sample is the distribution itself.
 
 Also provided: k-hash signatures with derived per-position seeds, a batched
-signature sampler over many vectors at once, a tree-structured sampler that
-trades collision mass between elements, and a collision-frequency estimator.
+signature sampler whose rows come from the same per-vector kernel, a
+tree-structured sampler that trades collision mass between elements, and a
+collision-frequency estimator.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ def _key_masses(masses: np.ndarray) -> np.ndarray:
     for huge ones.  Scaling by a power of two is exact while the scaled masses
     stay normal floats, and it scales every key by that same power, so the
     keys keep their order and every sample is that of the unscaled masses.
-    A matrix is scaled row by row.
     """
-    _, exp = np.frexp(masses.max(axis=-1, keepdims=True))
-    return np.ldexp(masses, -exp)
+    return np.ldexp(masses, -np.frexp(masses.max())[1])
 
 
 def pminhash(x: SparseVector, seed: int) -> int:
@@ -57,7 +56,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
     Deterministic in (x, seed); invariant under positive scaling of the
     masses; exact key ties go to the smallest element id.
     """
-    if not x.entries:
+    if not len(x):
         raise ValueError("cannot hash an empty vector")
     best_key = math.inf
     best_id = -1
@@ -71,7 +70,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
 
 def pminhash_many(x: SparseVector, seeds) -> np.ndarray:
     """Vectorized :func:`pminhash` over an array of seeds."""
-    if not x.entries:
+    if not len(x):
         raise ValueError("cannot hash an empty vector")
     seeds = np.asarray(seeds, dtype=np.uint64)
     u = uniform_hash_vec(x.ids[:, None], seeds[None, :])
@@ -104,43 +103,19 @@ def signature(x: SparseVector, base_seed: int, k: int, doc_id: str = "") -> Sign
 
 
 class _PackedVectors:
-    """Padded id/mass matrices for sampling many vectors in one shot.
+    """The vectors of one batch, sampled row by row with :func:`pminhash_many`.
 
-    Short rows are padded with copies of their own first entry.  A copy draws
-    the same key as the entry it copies and, coming later, loses the argmin
-    tie to it, so padding never changes a sample.
+    ``perfbench/tracer.py`` counts hashes through ``sample`` and ``row_len``.
     """
 
     def __init__(self, vecs: Sequence[SparseVector]):
-        if not vecs:
-            raise ValueError("no vectors to pack")
-        if any(not v.entries for v in vecs):
-            raise ValueError("cannot hash an empty vector")
-        n = len(vecs)
-        self.row_len = np.array([len(v.entries) for v in vecs])
-        width = int(self.row_len.max())
-        self.ids = np.empty((n, width), dtype=np.uint64)
-        self.masses = np.empty((n, width))
-        for r, v in enumerate(vecs):
-            w = len(v.entries)
-            self.ids[r, :w] = v.ids
-            self.ids[r, w:] = v.ids[0]
-            self.masses[r, :w] = v.masses
-            self.masses[r, w:] = v.masses[0]
-        self.masses = _key_masses(self.masses)
+        self.vecs = vecs
+        self.row_len = np.array([len(v) for v in vecs])
 
-    def sample(self, seeds, chunk: int = 512) -> np.ndarray:
+    def sample(self, seeds) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""
         seeds = np.asarray(seeds, dtype=np.uint64)
-        n = self.ids.shape[0]
-        out = np.empty((n, seeds.shape[0]), dtype=np.uint64)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            w = int(self.row_len[lo:hi].max())  # skip padding shared by the chunk
-            u = uniform_hash_vec(self.ids[lo:hi, :w, None], seeds[None, None, :])
-            pos = np.argmin(-np.log(u) / self.masses[lo:hi, :w, None], axis=1)
-            out[lo:hi] = np.take_along_axis(self.ids[lo:hi], pos, axis=1)
-        return out
+        return np.stack([pminhash_many(v, seeds) for v in self.vecs])
 
 
 def batch_signatures(vecs: Sequence[SparseVector], base_seed: int, k: int) -> np.ndarray:
@@ -213,12 +188,11 @@ class WeightTree:
 
 def _node_weights(tree: WeightTree, x: SparseVector) -> np.ndarray:
     leaf_pos = {e: i for i, e in enumerate(tree.leaf_element) if e is not None}
+    pos = [leaf_pos.get(eid, -1) for eid in x.ids.tolist()]
+    if -1 in pos:
+        raise ValueError(f"tree leaves do not cover support element {x.ids[pos.index(-1)]}")
     w = np.zeros(tree.n_nodes)
-    for eid, m in x.entries:
-        i = leaf_pos.get(eid)
-        if i is None:
-            raise ValueError(f"tree leaves do not cover support element {eid}")
-        w[i] = m
+    w[pos] = x.masses
     # children always follow their parent in the preorder layout
     for idx in range(tree.n_nodes - 1, -1, -1):
         kids = tree.children[idx]
@@ -229,7 +203,7 @@ def _node_weights(tree: WeightTree, x: SparseVector) -> np.ndarray:
 
 def tree_pminhash(tree: WeightTree, x: SparseVector, seed: int) -> int:
     """Sample one element id through the tree; marginal law is x itself."""
-    if not x.entries:
+    if not len(x):
         raise ValueError("cannot hash an empty vector")
     w = _node_weights(tree, x)
     idx = 0
@@ -251,7 +225,7 @@ def tree_pminhash(tree: WeightTree, x: SparseVector, seed: int) -> int:
 
 def tree_pminhash_many(tree: WeightTree, x: SparseVector, seeds) -> np.ndarray:
     """Vectorized :func:`tree_pminhash` over an array of seeds."""
-    if not x.entries:
+    if not len(x):
         raise ValueError("cannot hash an empty vector")
     w = _node_weights(tree, x)
     seeds = np.asarray(seeds, dtype=np.uint64)

@@ -138,7 +138,7 @@ def _jw_from(ux: np.ndarray, uy: np.ndarray) -> float:
 
 def jw(x: SparseVector, y: SparseVector) -> float:
     """Weighted Jaccard: sum of elementwise minima over sum of maxima."""
-    if not x.entries and not y.entries:
+    if not len(x) and not len(y):
         raise ValueError("both inputs are empty")
     _, ux, uy = _aligned(x, y)
     return _jw_from(ux, uy)
@@ -146,7 +146,7 @@ def jw(x: SparseVector, y: SparseVector) -> float:
 
 def support_jaccard(x: SparseVector, y: SparseVector) -> float:
     """Set Jaccard of the two supports."""
-    if not x.entries and not y.entries:
+    if not len(x) and not len(y):
         raise ValueError("both inputs are empty")
     a = x.support
     b = y.support
@@ -210,19 +210,14 @@ def construct_lower_pair(
     unchanged and ``jp`` of the outputs equals it.
     """
     _, ux, uy = _aligned(x, y)
-    xe: list[tuple[int, float]] = []
-    ye: list[tuple[int, float]] = []
-    for k in range(ux.shape[0]):
-        shared = min(ux[k], uy[k])
-        if shared > 0.0:
-            xe.append((2 * k, shared))
-            ye.append((2 * k, shared))
-        diff = ux[k] - uy[k]
-        if diff > 0.0:
-            xe.append((2 * k + 1, diff))
-        elif diff < 0.0:
-            ye.append((2 * k + 1, -diff))
-    return SparseDistribution(tuple(xe)), SparseDistribution(tuple(ye))
+    k = np.arange(ux.shape[0], dtype=np.uint64)
+    ids = np.concatenate([2 * k, 2 * k + 1])
+    shared = np.minimum(ux, uy)
+    diff = ux - uy
+    return (
+        SparseDistribution.from_arrays(ids, np.concatenate([shared, np.where(diff > 0.0, diff, 0.0)])),
+        SparseDistribution.from_arrays(ids, np.concatenate([shared, np.where(diff < 0.0, -diff, 0.0)])),
+    )
 
 
 def construct_upper_pair(
@@ -238,7 +233,7 @@ def construct_upper_pair(
     """
     if len(split.groups) != 2:
         raise ValueError("split must have exactly two groups")
-    if not shared.entries:
+    if not len(shared):
         raise ValueError("shared base must be non-empty")
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
@@ -248,15 +243,17 @@ def construct_upper_pair(
     uncovered = shared.support - (g0 | g1)
     if uncovered:
         raise ValueError(f"split does not cover shared element {min(uncovered)}")
-    m0 = math.fsum(m for eid, m in shared.entries if eid in g0)
-    m1 = math.fsum(m for eid, m in shared.entries if eid in g1)
+    in0 = np.array([eid in g0 for eid in shared.ids.tolist()], dtype=bool)
+    m0 = math.fsum(shared.masses[in0].tolist())
+    m1 = math.fsum(shared.masses[~in0].tolist())
     if m0 == 0.0 or m1 == 0.0:
         raise ValueError("empty group")
     s0 = (m0 + p) / m0
     s1 = (m1 + p) / m1
-    xe = tuple((eid, m * s0 if eid in g0 else m) for eid, m in shared.entries)
-    ye = tuple((eid, m if eid in g0 else m * s1) for eid, m in shared.entries)
-    return SparseDistribution(xe), SparseDistribution(ye)
+    return (
+        SparseDistribution.from_arrays(shared.ids, np.where(in0, shared.masses * s0, shared.masses)),
+        SparseDistribution.from_arrays(shared.ids, np.where(in0, shared.masses, shared.masses * s1)),
+    )
 
 
 def adversarial_z(
@@ -275,7 +272,7 @@ def adversarial_z(
     ids, ux, uy = _aligned(x, y)
     w = np.maximum(ux / xa, uy / ya)
     w /= w.sum()
-    return SparseDistribution(tuple((int(i), float(m)) for i, m in zip(ids, w)))
+    return SparseDistribution.from_arrays(ids, w)
 
 
 @dataclass(frozen=True)

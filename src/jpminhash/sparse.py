@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -31,82 +31,116 @@ MAX_ID = (1 << 64) - 1
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseVector:
-    """Nonnegative vector stored as (element_id, mass) pairs sorted by id."""
+    """Nonnegative vector: sorted distinct uint64 ids and their float64 masses.
 
-    entries: tuple[tuple[int, float], ...] = ()
+    Both arrays are read-only and every mass is positive and finite.
+    ``SparseVector(entries)`` takes ``(id, mass)`` pairs already in that form;
+    :meth:`from_arrays` builds from unordered input.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple((int(i), float(m)) for i, m in self.entries)
-        )
-        prev = -1
-        for eid, mass in self.entries:
-            if not 0 <= eid <= MAX_ID:
-                raise ValueError(f"element id {eid} outside unsigned 64-bit range")
-            if eid <= prev:
-                raise ValueError("element ids must be strictly increasing")
-            if not math.isfinite(mass) or mass <= 0.0:
-                raise ValueError(f"mass for element {eid} must be positive and finite")
-            prev = eid
+    ids: np.ndarray
+    masses: np.ndarray
+
+    def __init__(self, entries: Iterable[tuple[int, float]] = ()) -> None:
+        self._set(*_arrays(entries))
+
+    def _set(self, ids: np.ndarray, masses: np.ndarray) -> None:
+        if (ids[1:] <= ids[:-1]).any():  # not np.diff: uint64 differences wrap
+            raise ValueError("element ids must be strictly increasing")
+        bad = ~(np.isfinite(masses) & (masses > 0.0))
+        if bad.any():
+            raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
+        ids.setflags(write=False)
+        masses.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "masses", masses)
+
+    @classmethod
+    def from_arrays(cls, ids, masses) -> "SparseVector":
+        """Build from parallel id and mass arrays in any order.
+
+        Ids are sorted, masses of a repeated id add in input order and zero
+        masses drop.  The caller's arrays are copied, never frozen.
+        """
+        ids = _id_array(ids)
+        masses = np.asarray(masses, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != masses.shape:
+            raise ValueError("ids and masses must be 1-D arrays of one length")
+        if (ids[1:] <= ids[:-1]).any():
+            ids, inv = np.unique(ids, return_inverse=True)
+            masses = np.bincount(inv, weights=masses, minlength=ids.shape[0])
+        keep = masses != 0.0
+        v = cls.__new__(cls)
+        v._set(ids[keep], masses[keep])
+        return v
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
         """Build from unordered pairs: duplicates add, zero masses drop."""
-        acc: dict[int, float] = {}
-        for eid, mass in pairs:
-            eid = int(eid)
-            acc[eid] = acc.get(eid, 0.0) + float(mass)
-        return cls(tuple((i, m) for i, m in sorted(acc.items()) if m != 0.0))
+        return cls.from_arrays(*_arrays(pairs))
 
     @classmethod
     def from_dense(cls, masses: Iterable[float]) -> "SparseVector":
         """Vector over ids 0..n-1; zero positions are skipped."""
-        return cls(tuple((i, float(m)) for i, m in enumerate(masses) if m != 0.0))
+        arr = np.fromiter(masses, dtype=np.float64)
+        return cls.from_arrays(np.arange(arr.shape[0], dtype=np.uint64), arr)
 
     @cached_property
-    def ids(self) -> np.ndarray:
-        arr = np.array([e[0] for e in self.entries], dtype=np.uint64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        arr = np.array([e[1] for e in self.entries], dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.ids.tolist(), self.masses.tolist()))
 
     @cached_property
     def total(self) -> float:
-        return math.fsum(m for _, m in self.entries)
+        return math.fsum(self.masses.tolist())
 
     @cached_property
     def support(self) -> frozenset[int]:
-        return frozenset(e[0] for e in self.entries)
-
-    @cached_property
-    def _index(self) -> dict[int, float]:
-        return dict(self.entries)
+        return frozenset(self.ids.tolist())
 
     def mass_of(self, element_id: int) -> float:
         """Mass of an element, 0.0 if absent."""
-        return self._index.get(element_id, 0.0)
+        pos = int(np.searchsorted(self.ids, element_id))
+        if pos < len(self) and self.ids[pos] == element_id:
+            return float(self.masses[pos])
+        return 0.0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ids.shape[0]
 
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return iter(self.entries)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.masses, other.masses)
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
 
-@dataclass(frozen=True)
+def _arrays(pairs: Iterable[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Id and mass arrays of (id, mass) pairs, in input order."""
+    pairs = tuple(pairs)
+    return _id_array([i for i, _ in pairs]), np.array([m for _, m in pairs], dtype=np.float64)
+
+
+def _id_array(ids) -> np.ndarray:
+    """Ids as a uint64 array; an id outside the unsigned 64-bit range raises, never wraps."""
+    if isinstance(ids, np.ndarray) and ids.dtype == np.uint64:
+        return ids
+    ints = [int(i) for i in ids]
+    for i in ints:
+        if not 0 <= i <= MAX_ID:
+            raise ValueError(f"element id {i} outside unsigned 64-bit range")
+    return np.array(ints, dtype=np.uint64)
+
+
 class SparseDistribution(SparseVector):
     """Sparse vector whose masses sum to one within :data:`NORMALIZATION_TOL`."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.entries:
+    def _set(self, ids: np.ndarray, masses: np.ndarray) -> None:
+        super()._set(ids, masses)
+        if not len(self):
             raise ValueError("degenerate distribution")
         if abs(self.total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"masses sum to {self.total!r}, not 1")
@@ -118,10 +152,7 @@ def normalize(v: SparseVector) -> SparseDistribution:
     Raises ``ValueError("degenerate distribution")`` for an empty (equivalently
     all-zero) vector.  Entry order is preserved.
     """
-    if not v.entries:
-        raise ValueError("degenerate distribution")
-    t = v.total
-    return SparseDistribution(tuple((i, m / t) for i, m in v.entries))
+    return SparseDistribution.from_arrays(v.ids, v.masses / v.total)
 
 
 @dataclass(frozen=True)
@@ -168,15 +199,13 @@ def coarsen(x: SparseDistribution, partition: Partition) -> SparseDistribution:
     Every support element of ``x`` must be covered by some group; groups may
     also contain ids outside the support.
     """
-    owner: dict[int, int] = {}
-    for gi, g in enumerate(partition.groups):
-        for eid in g:
-            owner[eid] = gi
+    owner = {eid: gi for gi, g in enumerate(partition.groups) for eid in g}
     sums: dict[int, list[float]] = {}
-    for eid, m in x.entries:
+    for eid, m in zip(x.ids.tolist(), x.masses.tolist()):
         gi = owner.get(eid)
         if gi is None:
             raise ValueError(f"partition does not cover element {eid}")
         sums.setdefault(gi, []).append(m)
-    merged = sorted((min(partition.groups[gi]), math.fsum(ms)) for gi, ms in sums.items())
-    return SparseDistribution(tuple(merged))
+    return SparseDistribution.from_arrays(
+        [min(partition.groups[gi]) for gi in sums], [math.fsum(ms) for ms in sums.values()]
+    )

@@ -167,12 +167,15 @@ def test_early_termination_sound():
 
 
 def test_batch_search_matches_scalar():
-    seeds = derive_seed_vec(99, np.arange(300))
-    samples, iters = _astar_many_discrete(REF_MU, UNIFORM3, seeds)
-    for i, s in enumerate(seeds):
-        res = astar_pminhash(REF_MU, UNIFORM3, int(s))
-        assert res.sample == int(samples[i])
-        assert res.iterations == int(iters[i])
+    # 300 seeds over 3 elements fit one block; 70 seeds over 1000 span three
+    wide = FiniteMeasure(tuple(np.linspace(1.0, 3.0, 1000) / 2000.0))
+    for mu, lam, count in ((REF_MU, UNIFORM3, 300), (wide, FiniteMeasure((1.0,) * 1000), 70)):
+        seeds = derive_seed_vec(99, np.arange(count))
+        samples, iters = _astar_many_discrete(mu, lam, seeds)
+        for i, s in enumerate(seeds):
+            res = astar_pminhash(mu, lam, int(s))
+            assert res.sample == int(samples[i])
+            assert res.iterations == int(iters[i])
 
 
 def test_search_marginal_law():

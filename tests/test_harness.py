@@ -45,6 +45,10 @@ def test_ingest_normalization_rules():
     one, _ = ingest_text([("d", "a b a")])
     two, _ = ingest_text([("d", "A,b!A")])
     assert one[0].dist.entries == two[0].dist.entries
+    # "_" splits; digits, accented letters and CJK are token characters
+    three, _ = ingest_text([("d", "Ab_12 ÉTÉ,東京 ab")])
+    want, _ = corpus_from_records([{"id": "d", "weights": {"ab": 2, "12": 1, "été": 1, "東京": 1}}])
+    assert three[0].dist.entries == want[0].dist.entries
 
 
 def test_ingest_skips_empty_documents():

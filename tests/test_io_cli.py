@@ -72,6 +72,21 @@ def test_measures_jsonl_roundtrip(tmp_path):
     assert jio.read_measures_jsonl(path) == measures
 
 
+@pytest.mark.parametrize(
+    "reader,text",
+    [
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": 5}'),
+        (jio.read_measures_jsonl, '{"v": 1, "id": "m", "masses": 5}'),
+    ],
+    ids=["samples-number", "masses-number"],
+)
+def test_jsonl_readers_reject_scalar_lists_with_path_and_line(tmp_path, reader, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("# comment\n" + text + "\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
+        reader(path)
+
+
 def test_index_jsonl_roundtrip(tmp_path):
     corpus, _ = ingest_text([("d1", "alpha beta gamma"), ("d2", "alpha beta delta")])
     index = index_build(corpus, BandingScheme(2, 3, base_seed=7))
@@ -250,6 +265,7 @@ MALFORMED = [
     ("weight-list", "corpus", '{"id": "a", "weights": {"u": [1]}}', 1),
     ("weight-huge-int", "corpus", '{"id": "a", "weights": {"u": 1%s}}' % ("0" * 400), 1),
     ("docs-number", "index", _HEADER + '{"band": 0, "key": "1", "docs": 5}', 2),
+    ("docs-mixed", "index", _HEADER + '{"band": 0, "key": "1", "docs": [1, "b"]}', 2),
     ("band-text", "index", _HEADER + '{"band": "x", "key": "1", "docs": ["a"]}', 2),
     ("key-missing", "index", _HEADER + '{"band": 0, "docs": ["a"]}', 2),
     ("seed-negative", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "-1"}', 1),

@@ -35,6 +35,8 @@ def test_entry_validation():
         SparseVector(((1, 0.0),))
     with pytest.raises(ValueError, match="positive and finite"):
         SparseVector(((1, float("nan")),))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SparseVector(((2**64 - 1, 1.0), (0, 1.0)))  # uint64 differences would wrap
     with pytest.raises(ValueError, match="64-bit"):
         SparseVector(((2**64, 1.0),))
 
@@ -42,6 +44,8 @@ def test_entry_validation():
 def test_from_pairs_merges_and_sorts():
     v = SparseVector.from_pairs([(5, 1.0), (1, 2.0), (5, 0.5)])
     assert v.entries == ((1, 2.0), (5, 1.5))
+    ends = SparseVector.from_pairs([(2**64 - 1, 0.25), (0, 0.75)])
+    assert ends.entries == ((0, 0.75), (2**64 - 1, 0.25))
 
 
 def test_from_dense_skips_zeros():
@@ -60,6 +64,7 @@ def test_mass_of_and_support():
     d = SparseDistribution(((3, 0.25), (9, 0.75)))
     assert d.mass_of(3) == 0.25
     assert d.mass_of(4) == 0.0
+    assert SparseDistribution(((0, 0.5), (2**64 - 1, 0.5))).mass_of(2**64 - 1) == 0.5
     assert d.support == frozenset({3, 9})
 
 
