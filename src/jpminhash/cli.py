@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import harness, io
-from .minhash import signature
+from . import harness, io, minhash
+from .minhash import Signature, signature  # noqa: F401  perfbench/tracer.py patches cli.signature
 
 __all__ = ["run", "main"]
 
@@ -126,7 +126,11 @@ def _cmd_hash(args) -> int:
     if args.k < 1:
         raise CliError("--k must be positive")
     corpus = _load_corpus(args.corpus)
-    sigs = [signature(d.dist, args.seed, args.k, doc_id=d.doc_id) for d in corpus]
+    samples = minhash.batch_signatures([d.dist for d in corpus], args.seed, args.k)
+    sigs = [
+        Signature(doc_id=d.doc_id, samples=tuple(row), base_seed=args.seed, k=args.k)
+        for d, row in zip(corpus, samples.tolist())
+    ]
     io.write_signatures_jsonl(args.out, sigs)
     return 0
 

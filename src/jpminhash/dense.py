@@ -24,7 +24,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .hashing import CONTINUOUS_SALT, derive_seed_vec, uniform_hash, uniform_hash_vec
+from .hashing import CONTINUOUS_SALT, TILE_CELLS, derive_seed_vec, uniform_hash, uniform_hash_vec
 
 __all__ = [
     "FiniteMeasure",
@@ -263,8 +263,8 @@ def _astar_many_discrete(
 
     Mirrors :func:`astar_pminhash` exactly: per-seed stream order, running
     best, first stopping index, argmin among visited candidates.  Seeds are
-    searched in blocks of about 2**15 (element, seed) cells, which changes no
-    result: each temporary stays near 256 kB, so the search runs in cache
+    searched in blocks of about :data:`~jpminhash.hashing.TILE_CELLS`
+    (element, seed) cells, which changes no result: the search runs in cache
     whatever large blocks the allocator still holds from earlier work.
     """
     b = global_bound(mu, lam)
@@ -275,7 +275,7 @@ def _astar_many_discrete(
         ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
     samples = np.empty(seeds.shape[0], dtype=ids.dtype)
     iterations = np.empty(seeds.shape[0], dtype=np.intp)
-    step = max(1, (1 << 15) // ids.shape[0])
+    step = max(1, TILE_CELLS // ids.shape[0])
     for lo in range(0, seeds.shape[0], step):
         u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
         lam_keys = -np.log(u) / lam_vals[:, None]

@@ -11,6 +11,7 @@ divergence scatter summaries used by the verification suite.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -82,19 +83,45 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[Document], int]:
-    """Documents from (doc_id, token weights) records, skipping and counting empty ones."""
+    """Documents from (doc_id, token weights) records, skipping and counting empty ones.
+
+    One pass lays every record's entries end to end and hashes each distinct
+    token once.  One stable sort by (record, id) puts repeated ids of a
+    record next to each other in input order, so they add as in
+    :meth:`SparseVector.from_arrays`; each row is then divided by the
+    ``math.fsum`` of its masses, as :func:`normalize` divides.
+    """
+    doc_ids: list[str] = []
+    tokens: list[str] = []
+    weights: list[float] = []
+    row_len: list[int] = []
+    for doc_id, w in weighted:
+        doc_ids.append(doc_id)
+        tokens.extend(w)
+        weights.extend(w.values())
+        row_len.append(len(w))
+    element = {t: token_element_id(t) for t in set(tokens)}
+    ids = np.fromiter(map(element.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
+    rows = np.repeat(np.arange(len(doc_ids)), row_len)
+    order = np.lexsort((ids, rows))
+    ids, rows, masses = ids[order], rows[order], np.array(weights, dtype=np.float64)[order]
+    first = np.ones(ids.shape[0], dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    masses = np.bincount(np.cumsum(first) - 1, weights=masses, minlength=int(first.sum()))
+    ids, rows = ids[first], rows[first]
+    keep = masses != 0.0
+    ids, rows, masses = ids[keep], rows[keep], masses[keep]
+    if (masses < 0.0).any():  # an all-negative row would otherwise normalize to positive
+        raise ValueError(f"mass for element {ids[masses < 0.0][0]} must be positive and finite")
+    bounds = np.searchsorted(rows, np.arange(len(doc_ids) + 1)).tolist()
+    mass_list = masses.tolist()
     corpus: list[Document] = []
-    skipped = 0
-    for doc_id, weights in weighted:
-        v = SparseVector.from_arrays(
-            np.array([token_element_id(t) for t in weights], dtype=np.uint64),
-            [float(w) for w in weights.values()],
-        )
-        if len(v):
-            corpus.append(Document(doc_id=doc_id, dist=normalize(v)))
-        else:
-            skipped += 1
-    return corpus, skipped
+    for doc_id, lo, hi in zip(doc_ids, bounds, bounds[1:]):
+        if lo < hi:
+            total = math.fsum(mass_list[lo:hi])
+            dist = SparseDistribution.from_arrays(ids[lo:hi], masses[lo:hi] / total)
+            corpus.append(Document(doc_id=doc_id, dist=dist))
+    return corpus, len(doc_ids) - len(corpus)
 
 
 def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], int]:

@@ -32,6 +32,10 @@ GOLDEN64 = 0x9E3779B97F4A7C15
 # proposal stream.
 CONTINUOUS_SALT = 0x517CC1B727220A95
 
+# (element, seed) cells hashed per block by the batched samplers, so that each
+# float64 temporary of a block stays near 256 kB, inside a core's cache.
+TILE_CELLS = 1 << 15
+
 _MUL1 = 0xFF51AFD7ED558CCD
 _MUL2 = 0xC4CEB9FE1A85EC53
 _TWO_NEG_53 = 2.0**-53

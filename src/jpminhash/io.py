@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dense import FiniteMeasure, PiecewiseDensity
 from .harness import BandingScheme, InvertedIndex, PairSample, PairScore, PRPoint
@@ -145,14 +145,30 @@ def read_pr_csv(path: str | Path) -> list[PRPoint]:
     return points
 
 
-def _load_json_line(path: str | Path, lineno: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}:{lineno}: expected a JSON object")
-    return obj
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The JSON object on each non-comment, non-empty line, with its 1-based line number.
+
+    Each line is decoded by one call to the decoder's scanner, which is what
+    ``json.loads`` runs after its own per-call checks.
+    """
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obj, end = _scan_json(line, 0)
+        except StopIteration:
+            raise ValueError(f"{path}:{lineno}: malformed JSON (Expecting value)") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        if end != len(line):
+            raise ValueError(f"{path}:{lineno}: malformed JSON (Extra data)")
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def _require(obj: dict, key: str, path: str | Path, lineno: int):
@@ -180,8 +196,7 @@ def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
 
 def read_signatures_jsonl(path: str | Path) -> list[Signature]:
     sigs = []
-    for lineno, line in _data_lines(path):
-        obj = _load_json_line(path, lineno, line)
+    for lineno, obj in _json_lines(path):
         try:
             sigs.append(
                 Signature(
@@ -219,8 +234,7 @@ def write_measures_jsonl(
 
 def read_measures_jsonl(path: str | Path) -> list[tuple[str, FiniteMeasure | PiecewiseDensity]]:
     out = []
-    for lineno, line in _data_lines(path):
-        obj = _load_json_line(path, lineno, line)
+    for lineno, obj in _json_lines(path):
         mid = _require(obj, "id", path, lineno)
         try:
             if "masses" in obj:
@@ -249,36 +263,49 @@ def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
 
 
 def read_index_jsonl(path: str | Path) -> InvertedIndex:
-    rows = _data_lines(path)
-    if not rows:
+    """Index written by :func:`write_index_jsonl`.
+
+    Header ``a`` and ``o`` must be JSON integers.  On each bucket line
+    ``band`` must be a JSON integer in ``[0, o)``, ``key`` a decimal string
+    no larger than 2**64-1 and ``docs`` a list of string ids; no
+    ``(band, key)`` may repeat.
+    """
+    lines = _json_lines(path)
+    lineno, meta = next(lines, (0, None))
+    if meta is None:
         raise ValueError(f"{path}: empty index file")
-    lineno, line = rows[0]
-    meta = _load_json_line(path, lineno, line)
     if meta.get("kind") != "index":
         raise ValueError(f"{path}:{lineno}: expected index metadata line")
     a, o, seed = (_require(meta, field, path, lineno) for field in ("a", "o", "seed"))
     try:
-        scheme = BandingScheme(a=int(a), o=int(o), base_seed=int(seed))
+        if type(a) is not int or type(o) is not int:
+            raise ValueError("'a' and 'o' must be JSON integers")
+        scheme = BandingScheme(a=a, o=o, base_seed=int(seed))
         if not 0 <= scheme.base_seed <= MAX_ID:
             raise ValueError("seed must fit in 64 bits")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     buckets: dict[tuple[int, int], tuple[str, ...]] = {}
-    for lineno, line in rows[1:]:
-        obj = _load_json_line(path, lineno, line)
+    for lineno, obj in lines:
         try:
-            band, key, docs = int(obj["band"]), int(obj["key"]), obj["docs"]
+            band, key, docs = obj["band"], obj["key"], obj["docs"]
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if type(band) is not int or not 0 <= band < o:
+            raise ValueError(f"{path}:{lineno}: 'band' must be an integer in [0, {o}), got {band!r}")
+        value = int(key) if type(key) is str and key.isascii() and key.isdigit() else -1
+        if not 0 <= value <= MAX_ID:
+            raise ValueError(f"{path}:{lineno}: 'key' must be a decimal string below 2**64, got {key!r}")
         if not isinstance(docs, list):
             raise ValueError(f"{path}:{lineno}: 'docs' must be a list")
         try:
             "".join(docs)  # one C-level pass: raises unless every doc id is a string
         except TypeError:
             raise ValueError(f"{path}:{lineno}: 'docs' must hold string ids") from None
-        buckets[(band, key)] = tuple(docs)
+        bucket = (band, value)
+        if bucket in buckets:
+            raise ValueError(f"{path}:{lineno}: repeats bucket (band {band}, key {key})")
+        buckets[bucket] = tuple(docs)
     return InvertedIndex(buckets, scheme)
 
 
@@ -289,8 +316,7 @@ def read_corpus_jsonl(path: str | Path) -> list[dict]:
     non-negative numbers.
     """
     records = []
-    for lineno, line in _data_lines(path):
-        obj = _load_json_line(path, lineno, line)
+    for lineno, obj in _json_lines(path):
         if not isinstance(_require(obj, "id", path, lineno), str):
             raise ValueError(f"{path}:{lineno}: 'id' must be a string")
         if "text" in obj:

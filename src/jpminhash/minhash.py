@@ -6,8 +6,15 @@ Because the uniforms depend only on (element id, seed), two distributions
 hashed with the same seed collide with probability equal to their ``jp``
 similarity, and the marginal law of the sample is the distribution itself.
 
-Also provided: k-hash signatures with derived per-position seeds, a batched
-signature sampler whose rows come from the same per-vector kernel, a
+All vectorized sparse sampling runs through one kernel, :func:`_race`.  It
+takes a packed batch (the rows' ids and masses end to end, plus each row's
+length) and races it in tiles of about ``TILE_CELLS`` (element, seed)
+cells, so its temporaries stay in cache whatever the batch size or seed
+count.  :func:`pminhash_many` races one row and :func:`batch_signatures` a
+whole batch; the scalar :func:`pminhash` is the loop form the tests compare
+against.
+
+Also provided: k-hash signatures with derived per-position seeds, a
 tree-structured sampler that trades collision mass between elements, and a
 collision-frequency estimator.
 """
@@ -20,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashing import derive_seed, derive_seed_vec, uniform_hash, uniform_hash_vec
-from .sparse import SparseVector
+from .hashing import TILE_CELLS, derive_seed, derive_seed_vec, uniform_hash, uniform_hash_vec
+from .sparse import MAX_ID, SparseVector
 
 __all__ = [
     "Signature",
@@ -35,19 +42,19 @@ __all__ = [
     "tree_pminhash_many",
 ]
 
-# Seeds per chunk when estimating collision frequencies, bounds peak memory.
-_SEED_CHUNK = 65536
 
+def _key_masses(masses: np.ndarray, starts, row_len) -> np.ndarray:
+    """Each row's masses scaled by the power of two that brings its largest into [0.5, 1).
 
-def _key_masses(masses: np.ndarray) -> np.ndarray:
-    """Masses scaled by the power of two that brings the largest into [0.5, 1).
-
-    Keys ``-log(u) / mass`` then stay finite for subnormal masses and normal
-    for huge ones.  Scaling by a power of two is exact while the scaled masses
-    stay normal floats, and it scales every key by that same power, so the
-    keys keep their order and every sample is that of the unscaled masses.
+    Row r is ``masses[starts[r]:starts[r] + row_len[r]]``; no row may be
+    empty.  Keys ``-log(u) / mass`` then stay finite for subnormal masses and
+    normal for huge ones.  Scaling by a power of two is exact while the
+    scaled masses stay normal floats, and it scales every key of a row by
+    that same power, so the keys keep their order and every sample is that
+    of the unscaled masses.
     """
-    return np.ldexp(masses, -np.frexp(masses.max())[1])
+    exps = np.frexp(np.maximum.reduceat(masses, starts))[1]
+    return np.ldexp(masses, -np.repeat(exps, row_len))
 
 
 def pminhash(x: SparseVector, seed: int) -> int:
@@ -60,7 +67,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
         raise ValueError("cannot hash an empty vector")
     best_key = math.inf
     best_id = -1
-    for eid, mass in zip(x.ids.tolist(), _key_masses(x.masses).tolist()):
+    for eid, mass in zip(x.ids.tolist(), _key_masses(x.masses, [0], [len(x)]).tolist()):
         key = -math.log(uniform_hash(eid, seed)) / mass
         if key < best_key:  # strict: first (= smallest) id wins ties
             best_key = key
@@ -68,14 +75,70 @@ def pminhash(x: SparseVector, seed: int) -> int:
     return best_id
 
 
-def pminhash_many(x: SparseVector, seeds) -> np.ndarray:
-    """Vectorized :func:`pminhash` over an array of seeds."""
-    if not len(x):
+def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
+    """(n_rows, n_seeds) matrix: the :func:`pminhash` sample of every row under every seed.
+
+    ``ids`` and ``masses`` hold the rows end to end, row r taking the next
+    ``row_len[r]`` entries with its ids strictly increasing.  Consecutive
+    rows are raced together while their lengths sum to at most
+    ``TILE_CELLS // n_seeds``; a row longer than that alone is raced in
+    blocks of ``TILE_CELLS // row_len`` seeds.
+    """
+    row_len = np.asarray(row_len, dtype=np.intp)
+    # reduceat would give an empty row the next row's element, with no error
+    if (row_len == 0).any():
         raise ValueError("cannot hash an empty vector")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    u = uniform_hash_vec(x.ids[:, None], seeds[None, :])
-    keys = -np.log(u) / _key_masses(x.masses)[:, None]
-    return x.ids[np.argmin(keys, axis=0)]
+    n_rows, n_seeds = row_len.shape[0], seeds.shape[0]
+    starts = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(row_len, out=starts[1:])
+    neg_masses = -_key_masses(masses, starts[:-1], row_len)
+    out = np.empty((n_rows, n_seeds), dtype=np.uint64)
+    fit = TILE_CELLS // max(n_seeds, 1)  # elements a tile holds at full seed width
+    r = 0
+    while r < n_rows:
+        lo = starts[r]
+        if row_len[r] > fit:
+            hi = starts[r + 1]
+            step = max(1, TILE_CELLS // int(row_len[r]))
+            for s in range(0, n_seeds, step):
+                out[r, s : s + step] = _race_tile(
+                    ids[lo:hi], neg_masses[lo:hi], starts[:1], row_len[r : r + 1], seeds[s : s + step]
+                )
+            r += 1
+        else:
+            end = int(np.searchsorted(starts, lo + fit, side="right")) - 1
+            hi = starts[end]
+            out[r:end] = _race_tile(
+                ids[lo:hi], neg_masses[lo:hi], starts[r:end] - lo, row_len[r:end], seeds
+            )
+            r = end
+    return out
+
+
+# No id exceeds it, and an id equal to it is still that row's winner.
+_NO_ID = np.uint64(MAX_ID)
+
+
+def _race_tile(
+    ids: np.ndarray, neg_masses: np.ndarray, offsets: np.ndarray, lens: np.ndarray, seeds: np.ndarray
+) -> np.ndarray:
+    """Winners of the rows of one tile; row r starts at ``offsets[r]`` and has ``lens[r]`` entries.
+
+    Keys are ``log(u) / -mass``, bit for bit ``-log(u) / mass``.  A row's
+    winner is its smallest id whose key equals the row minimum: ids increase
+    along a row, so that is the first such position, as with ``np.argmin``.
+    """
+    keys = np.log(uniform_hash_vec(ids[:, None], seeds[None, :]))
+    keys /= neg_masses[:, None]
+    lows = np.minimum.reduceat(keys, offsets, axis=0)
+    lows = np.repeat(lows, lens, axis=0)
+    return np.minimum.reduceat(np.where(keys == lows, ids[:, None], _NO_ID), offsets, axis=0)
+
+
+def pminhash_many(x: SparseVector, seeds) -> np.ndarray:
+    """Vectorized :func:`pminhash` over an array of seeds."""
+    return _race(x.ids, x.masses, [len(x)], seeds)[0]
 
 
 @dataclass(frozen=True)
@@ -103,25 +166,27 @@ def signature(x: SparseVector, base_seed: int, k: int, doc_id: str = "") -> Sign
 
 
 class _PackedVectors:
-    """The vectors of one batch, sampled row by row with :func:`pminhash_many`.
+    """The vectors of one batch end to end, as :func:`_race` takes them.
 
     ``perfbench/tracer.py`` counts hashes through ``sample`` and ``row_len``.
     """
 
     def __init__(self, vecs: Sequence[SparseVector]):
-        self.vecs = vecs
-        self.row_len = np.array([len(v) for v in vecs])
+        self.ids = np.concatenate([v.ids for v in vecs])
+        self.masses = np.concatenate([v.masses for v in vecs])
+        self.row_len = np.array([len(v) for v in vecs], dtype=np.intp)
 
     def sample(self, seeds) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        return np.stack([pminhash_many(v, seeds) for v in self.vecs])
+        return _race(self.ids, self.masses, self.row_len, seeds)
 
 
 def batch_signatures(vecs: Sequence[SparseVector], base_seed: int, k: int) -> np.ndarray:
     """(n_vectors, k) sample matrix; row r equals signature(vecs[r], base_seed, k)."""
     if k < 1:
         raise ValueError("k must be positive")
+    if not len(vecs):
+        return np.empty((0, k), dtype=np.uint64)
     return _PackedVectors(vecs).sample(derive_seed_vec(base_seed, np.arange(k)))
 
 
@@ -129,12 +194,8 @@ def collision_estimate(x: SparseVector, y: SparseVector, base_seed: int, n: int)
     """Fraction of n derived seeds on which x and y sample the same element."""
     if n < 1:
         raise ValueError("n must be positive")
-    matches = 0
-    for lo in range(0, n, _SEED_CHUNK):
-        js = np.arange(lo, min(lo + _SEED_CHUNK, n))
-        seeds = derive_seed_vec(base_seed, js)
-        matches += int((pminhash_many(x, seeds) == pminhash_many(y, seeds)).sum())
-    return matches / n
+    seeds = derive_seed_vec(base_seed, np.arange(n))
+    return int((pminhash_many(x, seeds) == pminhash_many(y, seeds)).sum()) / n
 
 
 @dataclass(frozen=True)

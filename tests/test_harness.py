@@ -1,6 +1,7 @@
 """Corpus ingestion, synthetic pairs, banding, curves, divergence reports."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from jpminhash.harness import (
     DEFAULT_GRID,
     BandingScheme,
+    Document,
     PairSample,
     PairScore,
     Task,
@@ -24,10 +26,11 @@ from jpminhash.harness import (
     query,
     synth_pairs,
     token_element_id,
+    _tokenize,
 )
 from jpminhash.minhash import signature
 from jpminhash.similarity import jp, jsd, jw, total_variation
-from jpminhash.sparse import SparseDistribution
+from jpminhash.sparse import SparseDistribution, SparseVector, normalize
 from jpminhash.verify import REF_JP, REF_X, REF_Y, sigma_band
 
 
@@ -49,6 +52,31 @@ def test_ingest_normalization_rules():
     three, _ = ingest_text([("d", "Ab_12 ÉTÉ,東京 ab")])
     want, _ = corpus_from_records([{"id": "d", "weights": {"ab": 2, "12": 1, "été": 1, "東京": 1}}])
     assert three[0].dist.entries == want[0].dist.entries
+
+
+def test_one_pass_ingest_matches_per_record_normalize():
+    records = [
+        {"id": "t1", "text": "b a b, c a b"},
+        {"id": "w1", "weights": {"x": 2.0, "y": 0.0, "b": 0.5}},
+        {"id": "w0", "weights": {"x": 0.0, "y": 0}},
+        {"id": "t0", "text": ""},
+        {"id": "t2", "text": "Café naïve 東京 café b"},
+        {"id": "w2", "weights": {"café": 1e-300, "b": 3, "東京": 0.1}},
+    ]
+    want = []
+    for rec in records:
+        weights = Counter(_tokenize(rec["text"])) if "text" in rec else rec["weights"]
+        v = SparseVector.from_arrays(
+            [token_element_id(t) for t in weights], [float(w) for w in weights.values()]
+        )
+        if len(v):
+            want.append(Document(rec["id"], normalize(v)))
+    corpus, skipped = corpus_from_records(records)
+    assert corpus == want
+    assert skipped == len(records) - len(want) == 2
+    # dividing by a negative total must not turn negative weights positive
+    with pytest.raises(ValueError, match="positive"):
+        corpus_from_records([{"id": "n", "weights": {"x": -1.0, "y": -2.0}}])
 
 
 def test_ingest_skips_empty_documents():

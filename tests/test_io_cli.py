@@ -271,6 +271,13 @@ MALFORMED = [
     ("seed-negative", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "-1"}', 1),
     ("a-zero", "index", '{"v": 1, "kind": "index", "a": 0, "o": 2, "seed": "0"}', 1),
     ("o-infinite", "index", '{"v": 1, "kind": "index", "a": 1, "o": Infinity, "seed": "0"}', 1),
+    ("a-fraction", "index", '{"v": 1, "kind": "index", "a": 1.9, "o": 2, "seed": "0"}', 1),
+    ("band-out-of-range", "index", _HEADER + '{"band": 99, "key": "1", "docs": ["a"]}', 2),
+    ("band-bool", "index", _HEADER + '{"band": true, "key": "1", "docs": ["a"]}', 2),
+    ("band-fraction", "index", _HEADER + '{"band": 1.7, "key": "1", "docs": ["a"]}', 2),
+    ("key-above-64-bits", "index", _HEADER + '{"band": 0, "key": "%d", "docs": ["a"]}' % 2**64, 2),
+    ("key-negative", "index", _HEADER + '{"band": 0, "key": "-1", "docs": ["a"]}', 2),
+    ("bucket-repeated", "index", _HEADER + '{"band": 0, "key": "1", "docs": ["a"]}\n' * 2, 3),
 ]
 
 
@@ -288,6 +295,17 @@ def test_cli_malformed_records_name_path_and_line(tmp_path, capsys, role, text, 
         argv = ["query", "--index", str(bad), "--doc", str(doc)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
+@pytest.mark.parametrize("line", ["abc", '{"a": 1} x', "{", '{"a": 1,}', '{"a": [1, 2}'])
+def test_jsonl_malformed_json_names_the_json_error(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_OK + line + "\n")
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(line)
+    with pytest.raises(ValueError) as got:
+        jio.read_corpus_jsonl(path)
+    assert str(got.value) == f"{path}:2: malformed JSON ({want.value.msg})"
 
 
 def test_cli_bad_seed_rejected(tmp_path):

@@ -42,6 +42,10 @@ def test_determinism_and_vector_agreement():
         vec = pminhash_many(d, seeds)
         for s, v in zip(seeds, vec):
             assert pminhash(d, int(s)) == int(v)
+    # more seeds than one tile holds: the vector is raced in blocks of seeds
+    d = rand_dist(rng, rng.choice(1000, size=3, replace=False))
+    seeds = rng.integers(0, 2**64, size=(1 << 15) + 300, dtype=np.uint64)
+    assert pminhash_many(d, seeds).tolist() == [pminhash(d, s) for s in seeds.tolist()]
 
 
 @given(
@@ -116,6 +120,21 @@ def test_batch_signatures_match_single():
     mat = batch_signatures(vecs, base_seed=3, k=6)
     for r, v in enumerate(vecs):
         assert tuple(int(s) for s in mat[r]) == signature(v, 3, 6).samples
+    # at k=64 the short rows share tiles and the 700- and 1000-element rows
+    # are each raced alone, in blocks of seeds
+    vecs += [rand_dist(rng, rng.choice(5000, size=n, replace=False)) for n in (1, 1000, 3, 700, 1, 40)]
+    mat = batch_signatures(vecs, base_seed=4, k=64)
+    for r, v in enumerate(vecs):
+        assert tuple(int(s) for s in mat[r]) == signature(v, 4, 64).samples
+    assert mat[-5].tolist() == [pminhash(vecs[-5], derive_seed(4, j)) for j in range(64)]
+
+
+def test_batch_signatures_empty_inputs():
+    empty = batch_signatures([], base_seed=0, k=4)
+    assert empty.shape == (0, 4) and empty.dtype == np.uint64
+    for batch in ([REF_X, SparseVector(()), REF_Y], [REF_X, SparseVector(())]):
+        with pytest.raises(ValueError, match="empty"):
+            batch_signatures(batch, base_seed=0, k=4)
 
 
 def test_collision_estimate_endpoints():

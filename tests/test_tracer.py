@@ -1,8 +1,10 @@
 """The benchmark's tracer still finds every function it wraps."""
 
+import json
 from pathlib import Path
 
-from jpminhash import minhash
+from jpminhash import cli, minhash
+from jpminhash.harness import corpus_from_records
 from jpminhash.verify import REF_X, REF_Y
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -18,3 +20,28 @@ def test_tracer_installs_and_restores_its_hooks(monkeypatch):
         minhash.batch_signatures([REF_X, REF_Y], 0, 4)
     assert minhash._PackedVectors.sample is sample
     assert t.counts["minhash.hashes"] == (len(REF_X) + len(REF_Y)) * 4
+
+
+def test_tracer_counts_each_hash_once(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    records = [
+        {"id": "a", "text": "x y z x"},
+        {"id": "b", "text": "y w"},
+        {"id": "c", "weights": {"p": 1, "q": 2, "r": 0.5}},
+    ]
+    corpus, query = tmp_path / "corpus.jsonl", tmp_path / "query.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    query.write_text(json.dumps({"id": "q", "text": "x y v"}) + "\n")
+    entries = sum(len(d.dist) for d in corpus_from_records(records)[0])
+    sigs, index = tmp_path / "sigs.jsonl", tmp_path / "index.jsonl"
+    assert cli.run(["index", "--corpus", str(corpus), "--a", "2", "--o", "3", "--out", str(index)]) == 0
+    for argv, hashes in (
+        (["hash", "--corpus", str(corpus), "--k", "8", "--out", str(sigs)], entries * 8),
+        (["query", "--index", str(index), "--doc", str(query)], 3 * 6),
+    ):
+        with tracer.Tracer() as t:
+            assert cli.run(argv) == 0
+        assert t.counts["minhash.hashes"] == hashes
+        assert t.counts["hashing.uniform_hash_vec.elements"] == hashes
