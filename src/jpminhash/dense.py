@@ -13,6 +13,9 @@ saves no hashing: the finite search is the seed-for-seed oracle for
 ``pminhash``, not a faster route to it.  Piecewise-constant densities on
 [0, 1) use the incremental form with inverse-CDF position draws, where
 stopping early does save work.
+
+Measures store read-only float64 arrays, as sparse vectors do, and compare
+by identity.  Finite searches run on copies scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .hashing import CONTINUOUS_SALT, TILE_CELLS, derive_seed_vec, uniform_hash, uniform_hash_vec
+from .sparse import _scale_rows
 
 __all__ = [
     "FiniteMeasure",
@@ -36,80 +40,79 @@ __all__ = [
     "astar_collision",
     "refine_breakpoints",
     "piece_values_on",
-    "piece_masses_on",
 ]
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """Dense nonnegative measure; the index is the element id."""
+def _freeze(measure, field: str) -> np.ndarray:
+    """Set ``field`` of a frozen measure to a read-only float64 copy of its 1-D sequence."""
+    a = np.array(getattr(measure, field), dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{field} must be a 1-D sequence of numbers")
+    a.setflags(write=False)
+    object.__setattr__(measure, field, a)
+    return a
 
-    masses: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class FiniteMeasure:
+    """Dense nonnegative measure; the index is the element id.
+
+    ``masses`` is a read-only float64 array copied from any 1-D sequence.
+    Measures compare and hash by identity.
+    """
+
+    masses: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        for i, m in enumerate(self.masses):
-            if not math.isfinite(m) or m < 0.0:
-                raise ValueError(f"mass at index {i} must be finite and nonnegative")
-        if self.total <= 0.0:
+        m = _freeze(self, "masses")
+        bad = ~(np.isfinite(m) & (m >= 0.0))
+        if bad.any():
+            raise ValueError(f"mass at index {int(np.argmax(bad))} must be finite and nonnegative")
+        if not (m > 0.0).any():
             raise ValueError("measure must have positive total mass")
 
-    @cached_property
+    @property
     def arr(self) -> np.ndarray:
-        a = np.array(self.masses, dtype=np.float64)
-        a.setflags(write=False)
-        return a
+        """``masses`` under the name ``perfbench`` reads."""
+        return self.masses
 
     @cached_property
     def total(self) -> float:
-        return math.fsum(self.masses)
+        return math.fsum(self.masses.tolist())
 
     def __len__(self) -> int:
-        return len(self.masses)
+        return self.masses.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseDensity:
     """Piecewise-constant density on [0, 1).
 
     ``breakpoints`` are strictly increasing, starting at 0 and ending at 1;
-    ``values[i]`` is the density on [breakpoints[i], breakpoints[i+1]).
+    ``values[i]`` is the density on [breakpoints[i], breakpoints[i+1]).  Both
+    are read-only float64 arrays copied from any 1-D sequences.  Densities
+    compare and hash by identity.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        bp = self.breakpoints
-        if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
+        bp, vals = _freeze(self, "breakpoints"), _freeze(self, "values")
+        if bp.shape[0] < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0.0 to 1.0")
-        if any(b >= c for b, c in zip(bp, bp[1:])):
+        if not (bp[1:] > bp[:-1]).all():  # false on NaN too
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.values) != len(bp) - 1:
+        if vals.shape[0] != bp.shape[0] - 1:
             raise ValueError("need exactly one density value per piece")
-        for v in self.values:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError("density values must be finite and nonnegative")
-        if all(v == 0.0 for v in self.values):
+        if not (np.isfinite(vals) & (vals >= 0.0)).all():
+            raise ValueError("density values must be finite and nonnegative")
+        if not (vals > 0.0).any():
             raise ValueError("density must have at least one positive piece")
 
     @cached_property
-    def bp_arr(self) -> np.ndarray:
-        a = np.array(self.breakpoints, dtype=np.float64)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def val_arr(self) -> np.ndarray:
-        a = np.array(self.values, dtype=np.float64)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
     def piece_masses(self) -> np.ndarray:
-        a = self.val_arr * np.diff(self.bp_arr)
+        a = self.values * np.diff(self.breakpoints)
         a.setflags(write=False)
         return a
 
@@ -120,8 +123,7 @@ class PiecewiseDensity:
     def density_at(self, t: float) -> float:
         if not 0.0 <= t < 1.0:
             raise ValueError("point outside [0, 1)")
-        idx = int(np.searchsorted(self.bp_arr, t, side="right")) - 1
-        return self.values[idx]
+        return float(self.values[np.searchsorted(self.breakpoints, t, side="right") - 1])
 
 
 Measure = Union[FiniteMeasure, PiecewiseDensity]
@@ -129,18 +131,13 @@ Measure = Union[FiniteMeasure, PiecewiseDensity]
 
 def refine_breakpoints(a: PiecewiseDensity, b: PiecewiseDensity) -> np.ndarray:
     """Union of the two breakpoint sets."""
-    return np.union1d(a.bp_arr, b.bp_arr)
+    return np.union1d(a.breakpoints, b.breakpoints)
 
 
 def piece_values_on(d: PiecewiseDensity, breakpoints: np.ndarray) -> np.ndarray:
     """Density values of ``d`` on each piece of a refined breakpoint grid."""
-    idx = np.searchsorted(d.bp_arr, breakpoints[:-1], side="right") - 1
-    return d.val_arr[idx]
-
-
-def piece_masses_on(d: PiecewiseDensity, breakpoints: np.ndarray) -> np.ndarray:
-    """Masses of ``d`` on each piece of a refined breakpoint grid."""
-    return piece_values_on(d, breakpoints) * np.diff(breakpoints)
+    idx = np.searchsorted(d.breakpoints, breakpoints[:-1], side="right") - 1
+    return d.values[idx]
 
 
 def global_bound(mu: Measure, lam: Measure) -> float:
@@ -152,21 +149,26 @@ def global_bound(mu: Measure, lam: Measure) -> float:
     if isinstance(mu, FiniteMeasure) and isinstance(lam, FiniteMeasure):
         if len(mu) != len(lam):
             raise ValueError("measure and proposal have different lengths")
-        m = mu.arr
-        l = lam.arr
-        pos = m > 0.0
-        if np.any(l[pos] == 0.0):
-            raise ValueError("unbounded ratio")
-        return float(np.max(m[pos] / l[pos]))
-    if isinstance(mu, PiecewiseDensity) and isinstance(lam, PiecewiseDensity):
+        m, l = mu.masses, lam.masses
+    elif isinstance(mu, PiecewiseDensity) and isinstance(lam, PiecewiseDensity):
         bp = refine_breakpoints(mu, lam)
-        m = piece_values_on(mu, bp)
-        l = piece_values_on(lam, bp)
-        pos = m > 0.0
-        if np.any(l[pos] == 0.0):
-            raise ValueError("unbounded ratio")
-        return float(np.max(m[pos] / l[pos]))
-    raise ValueError("measure and proposal must be of the same kind")
+        m, l = piece_values_on(mu, bp), piece_values_on(lam, bp)
+    else:
+        raise ValueError("measure and proposal must be of the same kind")
+    pos = m > 0.0
+    if (l[pos] == 0.0).any():
+        raise ValueError("unbounded ratio")
+    return float(np.max(m[pos] / l[pos]))
+
+
+def _unit_scaled(m: FiniteMeasure) -> tuple[FiniteMeasure, int]:
+    """``m`` with its largest mass scaled by ``2**-e`` into [0.5, 1), and ``e``.
+
+    A search's keys on scaled measures are its keys on ``m`` times ``2**e``,
+    exactly for normal masses, so it makes the same decisions, overflowing
+    neither on subnormal masses nor on masses near 1e308.
+    """
+    return FiniteMeasure(_scale_rows(m.masses, [0], [len(m)])), math.frexp(float(m.masses.max()))[1]
 
 
 def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, float]]:
@@ -183,9 +185,9 @@ def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, floa
     a salted uniform, produced lazily one candidate at a time.
     """
     if isinstance(lam, FiniteMeasure):
-        ids = np.nonzero(lam.arr)[0]
+        ids = np.nonzero(lam.masses)[0]
         u = uniform_hash_vec(ids.astype(np.uint64), np.uint64(seed))
-        keys = -np.log(u) / lam.arr[ids]
+        keys = -np.log(u) / lam.masses[ids]
         for j in np.argsort(keys, kind="stable"):
             yield int(ids[j]), float(keys[j])
         return
@@ -193,8 +195,8 @@ def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, floa
     pos = lam.piece_masses > 0.0
     cum = np.concatenate(([0.0], np.cumsum(lam.piece_masses[pos]) / total))
     cum[-1] = 1.0
-    left = lam.bp_arr[:-1][pos]
-    right = lam.bp_arr[1:][pos]
+    left = lam.breakpoints[:-1][pos]
+    right = lam.breakpoints[1:][pos]
     e = 0.0
     k = 0
     while True:
@@ -229,10 +231,13 @@ def astar_pminhash(
     ``pminhash`` on the same seed, element for element.  Exact key ties keep
     the earlier-visited candidate.
     """
+    exp = 0
+    if isinstance(mu, FiniteMeasure) and isinstance(lam, FiniteMeasure):
+        (mu, exp), (lam, _) = _unit_scaled(mu), _unit_scaled(lam)
     b = global_bound(mu, lam)
     if isinstance(lam, FiniteMeasure):
-        mu_of = lambda c: mu.masses[c]
-        lam_of = lambda c: lam.masses[c]
+        mu_of = mu.masses.item
+        lam_of = lam.masses.item
     else:
         if not early_termination:
             raise ValueError("cannot exhaust a continuous proposal stream")
@@ -245,7 +250,7 @@ def astar_pminhash(
         iters += 1
         m_val = mu_of(cand)
         if m_val > 0.0:
-            key = e * lam_of(cand) / m_val
+            key = e * (lam_of(cand) / m_val)  # the batched search's order of operations
             if key < best:
                 best = key
                 best_sample = cand
@@ -253,6 +258,10 @@ def astar_pminhash(
             break
     if best_sample is None:
         raise ValueError("measure has no mass on the proposal support")
+    try:
+        best = math.ldexp(best, -exp)  # back to the units of mu
+    except OverflowError:
+        best = math.inf
     return AStarResult(sample=best_sample, best_key=best, iterations=iters)
 
 
@@ -267,10 +276,11 @@ def _astar_many_discrete(
     (element, seed) cells, which changes no result: the search runs in cache
     whatever large blocks the allocator still holds from earlier work.
     """
+    (mu, _), (lam, _) = _unit_scaled(mu), _unit_scaled(lam)
     b = global_bound(mu, lam)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    ids = np.nonzero(lam.arr)[0]
-    lam_vals, mu_vals = lam.arr[ids], mu.arr[ids]
+    ids = np.nonzero(lam.masses)[0]
+    lam_vals, mu_vals = lam.masses[ids], mu.masses[ids]
     with np.errstate(divide="ignore"):
         ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
     samples = np.empty(seeds.shape[0], dtype=ids.dtype)

@@ -13,7 +13,6 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dense import FiniteMeasure, PiecewiseDensity
 from .harness import BandingScheme, InvertedIndex, PairSample, PairScore, PRPoint
 from .minhash import Signature
 from .sparse import MAX_ID
@@ -27,8 +26,6 @@ __all__ = [
     "read_pr_csv",
     "write_signatures_jsonl",
     "read_signatures_jsonl",
-    "write_measures_jsonl",
-    "read_measures_jsonl",
     "write_index_jsonl",
     "read_index_jsonl",
     "read_corpus_jsonl",
@@ -209,45 +206,6 @@ def read_signatures_jsonl(path: str | Path) -> list[Signature]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return sigs
-
-
-def write_measures_jsonl(
-    path: str | Path, measures: Iterable[tuple[str, FiniteMeasure | PiecewiseDensity]]
-) -> None:
-    lines = []
-    for mid, m in measures:
-        if isinstance(m, FiniteMeasure):
-            lines.append(json.dumps({"v": 1, "id": mid, "masses": list(m.masses)}))
-        else:
-            lines.append(
-                json.dumps(
-                    {
-                        "v": 1,
-                        "id": mid,
-                        "breakpoints": list(m.breakpoints),
-                        "values": list(m.values),
-                    }
-                )
-            )
-    _write_text(path, lines)
-
-
-def read_measures_jsonl(path: str | Path) -> list[tuple[str, FiniteMeasure | PiecewiseDensity]]:
-    out = []
-    for lineno, obj in _json_lines(path):
-        mid = _require(obj, "id", path, lineno)
-        try:
-            if "masses" in obj:
-                out.append((mid, FiniteMeasure(tuple(obj["masses"]))))
-            elif "breakpoints" in obj:
-                out.append(
-                    (mid, PiecewiseDensity(tuple(obj["breakpoints"]), tuple(_require(obj, "values", path, lineno))))
-                )
-            else:
-                raise ValueError("need either 'masses' or 'breakpoints'")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
 
 
 def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:

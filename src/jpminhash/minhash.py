@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hashing import TILE_CELLS, derive_seed, derive_seed_vec, uniform_hash, uniform_hash_vec
-from .sparse import MAX_ID, SparseVector
+from .sparse import MAX_ID, SparseVector, _scale_rows
 
 __all__ = [
     "Signature",
@@ -43,20 +43,6 @@ __all__ = [
 ]
 
 
-def _key_masses(masses: np.ndarray, starts, row_len) -> np.ndarray:
-    """Each row's masses scaled by the power of two that brings its largest into [0.5, 1).
-
-    Row r is ``masses[starts[r]:starts[r] + row_len[r]]``; no row may be
-    empty.  Keys ``-log(u) / mass`` then stay finite for subnormal masses and
-    normal for huge ones.  Scaling by a power of two is exact while the
-    scaled masses stay normal floats, and it scales every key of a row by
-    that same power, so the keys keep their order and every sample is that
-    of the unscaled masses.
-    """
-    exps = np.frexp(np.maximum.reduceat(masses, starts))[1]
-    return np.ldexp(masses, -np.repeat(exps, row_len))
-
-
 def pminhash(x: SparseVector, seed: int) -> int:
     """Sample one element id: argmin of per-element exponential keys.
 
@@ -67,7 +53,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
         raise ValueError("cannot hash an empty vector")
     best_key = math.inf
     best_id = -1
-    for eid, mass in zip(x.ids.tolist(), _key_masses(x.masses, [0], [len(x)]).tolist()):
+    for eid, mass in zip(x.ids.tolist(), _scale_rows(x.masses, [0], [len(x)]).tolist()):
         key = -math.log(uniform_hash(eid, seed)) / mass
         if key < best_key:  # strict: first (= smallest) id wins ties
             best_key = key
@@ -92,7 +78,7 @@ def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
     n_rows, n_seeds = row_len.shape[0], seeds.shape[0]
     starts = np.zeros(n_rows + 1, dtype=np.intp)
     np.cumsum(row_len, out=starts[1:])
-    neg_masses = -_key_masses(masses, starts[:-1], row_len)
+    neg_masses = -_scale_rows(masses, starts[:-1], row_len)
     out = np.empty((n_rows, n_seeds), dtype=np.uint64)
     fit = TILE_CELLS // max(n_seeds, 1)  # elements a tile holds at full seed width
     r = 0

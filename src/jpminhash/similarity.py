@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import Partition, SparseDistribution, SparseVector
+from .sparse import Partition, SparseDistribution, SparseVector, _scale_rows
 
 __all__ = [
     "PerTermDecomposition",
@@ -141,7 +141,9 @@ def jw(x: SparseVector, y: SparseVector) -> float:
     if not len(x) and not len(y):
         raise ValueError("both inputs are empty")
     _, ux, uy = _aligned(x, y)
-    return _jw_from(ux, uy)
+    n = ux.shape[0]
+    both = _scale_rows(np.concatenate((ux, uy)), [0], [2 * n])  # one scale keeps the ratio
+    return _jw_from(both[:n], both[n:])
 
 
 def support_jaccard(x: SparseVector, y: SparseVector) -> float:

@@ -146,13 +146,30 @@ class SparseDistribution(SparseVector):
             raise ValueError(f"masses sum to {self.total!r}, not 1")
 
 
+def _scale_rows(masses: np.ndarray, starts, row_len) -> np.ndarray:
+    """Each row's masses scaled by the power of two that brings its largest into [0.5, 1).
+
+    Row r is ``masses[starts[r]:starts[r] + row_len[r]]``; no row may be
+    empty.  Sums of a scaled row then stay finite for masses near 1e308, and
+    keys ``-log(u) / mass`` stay finite for subnormal masses.  Scaling by a
+    power of two is exact while the scaled masses stay normal floats, so
+    sums, ratios and keys of a row scale by that same power: samples keep
+    their winners and ratios their value.
+    """
+    exps = np.frexp(np.maximum.reduceat(masses, starts))[1]
+    return np.ldexp(masses, -np.repeat(exps, row_len))
+
+
 def normalize(v: SparseVector) -> SparseDistribution:
     """Scale a nonnegative vector to total mass one.
 
     Raises ``ValueError("degenerate distribution")`` for an empty (equivalently
     all-zero) vector.  Entry order is preserved.
     """
-    return SparseDistribution.from_arrays(v.ids, v.masses / v.total)
+    if not len(v):
+        raise ValueError("degenerate distribution")
+    masses = _scale_rows(v.masses, [0], [len(v)])
+    return SparseDistribution.from_arrays(v.ids, masses / math.fsum(masses.tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,21 @@ at the criterion's own sizes and seeds; ``jpminhash verify`` runs the same
 checks at smaller sizes.  Every statistical check uses fixed seeds, so each
 criterion is deterministic: the binomial four-sigma bands were verified to
 contain the pinned estimates.  Run with ``pytest -s tests/test_acceptance.py``
-to see the per-criterion lines.
+to see the per-criterion lines.  Two more tests pin the chi-square tail of
+criterion 03, which the package computes without scipy.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import jpminhash
 from jpminhash import harness, verify
 
 
@@ -47,6 +54,27 @@ def test_criterion_02_collision_law():
 
 def test_criterion_03_marginal_law():
     _report(3, verify.check_marginal_law(200_000, seed=0))
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.stats import chi2
+
+    xs = np.concatenate(([0.0, 1e-8, 1e-3], np.linspace(0.05, 60.0, 240), [100.0, 300.0]))
+    for df in range(1, 12):
+        for x in xs:
+            assert verify.chi2_sf(float(x), df) == pytest.approx(chi2.sf(x, df), rel=1e-12, abs=1e-300)
+
+
+def test_marginal_law_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "from jpminhash import verify\n"
+        "assert verify.check_marginal_law(2000, seed=0).passed\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(jpminhash.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_criterion_04_dense_sparse_agreement():

@@ -11,7 +11,6 @@ from jpminhash.dense import (
     astar_collision,
     astar_pminhash,
     global_bound,
-    piece_masses_on,
     proposal_stream,
     refine_breakpoints,
 )
@@ -33,7 +32,16 @@ def test_measure_validation():
         FiniteMeasure((0.0, 0.0))
     with pytest.raises(ValueError, match="nonnegative"):
         FiniteMeasure((1.0, -0.5))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FiniteMeasure((1.0, float("nan")))
+    with pytest.raises(ValueError, match="1-D"):
+        FiniteMeasure([[0.5, 0.5]])
     assert FiniteMeasure((0.25, 0.75)).total == 1.0
+    # positivity needs no sum: masses whose total overflows still form a measure
+    assert len(FiniteMeasure((1e308, 1e308))) == 2
+    m = FiniteMeasure([0.25, 0.75])
+    assert m.masses.dtype == np.float64 and not m.masses.flags.writeable
+    assert m.arr is m.masses
 
 
 def test_piecewise_validation():
@@ -41,6 +49,8 @@ def test_piecewise_validation():
         PiecewiseDensity((0.0, 0.5), (1.0,))
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseDensity((0.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseDensity((0.0, float("nan"), 1.0), (1.0, 1.0))
     with pytest.raises(ValueError, match="one density value per piece"):
         PiecewiseDensity((0.0, 1.0), (1.0, 2.0))
     with pytest.raises(ValueError, match="positive piece"):
@@ -49,6 +59,9 @@ def test_piecewise_validation():
     assert d.total == pytest.approx(1.0)
     assert d.density_at(0.25) == 1.6
     assert d.density_at(0.75) == 0.4
+    assert type(d.density_at(0.25)) is float
+    for a in (d.breakpoints, d.values):
+        assert a.dtype == np.float64 and not a.flags.writeable
 
 
 # --- global bound ------------------------------------------------------------
@@ -72,7 +85,6 @@ def test_global_bound_piecewise_uses_common_refinement():
     assert global_bound(mu, lam) == pytest.approx(2.0)
     bp = refine_breakpoints(mu, lam)
     assert bp.tolist() == [0.0, 0.25, 0.5, 1.0]
-    assert piece_masses_on(mu, bp) == pytest.approx([0.5, 1.0 / 6.0, 1.0 / 3.0])
 
 
 # --- proposal stream -----------------------------------------------------------
@@ -140,15 +152,18 @@ def test_identical_measure_and_proposal_stops_immediately():
 
 
 def test_search_equals_sparse_sampler():
+    # alpha scales measure and proposal to subnormal and near-overflow masses
     rng = np.random.default_rng(30)
-    for _ in range(300):
-        n = int(rng.integers(2, 25))
-        masses = np.maximum(rng.exponential(size=n), 1e-12)
-        mu = FiniteMeasure(tuple(masses.tolist()))
-        lam = FiniteMeasure((1.0,) * n)
-        seed = int(rng.integers(0, 2**63))
-        res = astar_pminhash(mu, lam, seed)
-        assert res.sample == pminhash(SparseVector.from_dense(masses.tolist()), seed)
+    for alpha in (1.0, 1e-310, 1e300):
+        for _ in range(300):
+            n = int(rng.integers(2, 25))
+            masses = np.maximum(rng.exponential(size=n), 1e-12) * alpha
+            mu = FiniteMeasure(masses)
+            lam = FiniteMeasure((alpha,) * n)
+            seed = int(rng.integers(0, 2**63))
+            res = astar_pminhash(mu, lam, seed)
+            assert res.sample == pminhash(SparseVector.from_dense(masses.tolist()), seed)
+            assert type(res.sample) is int and type(res.best_key) is float
 
 
 def test_early_termination_sound():
@@ -167,9 +182,17 @@ def test_early_termination_sound():
 
 
 def test_batch_search_matches_scalar():
-    # 300 seeds over 3 elements fit one block; 70 seeds over 1000 span three
-    wide = FiniteMeasure(tuple(np.linspace(1.0, 3.0, 1000) / 2000.0))
-    for mu, lam, count in ((REF_MU, UNIFORM3, 300), (wide, FiniteMeasure((1.0,) * 1000), 70)):
+    # 300 seeds over 3 elements fit one block; 70 seeds over 1000 span three;
+    # alpha scales measure and proposal to subnormal and near-overflow masses
+    wide = np.linspace(1.0, 3.0, 1000) / 2000.0
+    cases = [
+        (FiniteMeasure(REF_MU.masses * alpha), FiniteMeasure(UNIFORM3.masses * alpha), 300)
+        for alpha in (1.0, 1e-310, 1e300)
+    ] + [
+        (FiniteMeasure(wide * alpha), FiniteMeasure(np.full(1000, alpha)), 70)
+        for alpha in (1.0, 1e-310, 1e300)
+    ]
+    for mu, lam, count in cases:
         seeds = derive_seed_vec(99, np.arange(count))
         samples, iters = _astar_many_discrete(mu, lam, seeds)
         for i, s in enumerate(seeds):
@@ -184,7 +207,7 @@ def test_search_marginal_law():
     seeds = derive_seed_vec(5, np.arange(100_000))
     samples, _ = _astar_many_discrete(REF_MU, UNIFORM3, seeds)
     counts = np.array([(samples == i).sum() for i in range(3)])
-    _, pvalue = chisquare(counts, np.array(REF_MU.masses) * 100_000)
+    _, pvalue = chisquare(counts, REF_MU.masses * 100_000)
     assert pvalue > 0.001
 
 
@@ -254,7 +277,7 @@ def test_continuous_search_marginal():
     hits = 0
     for s in range(n):
         res = astar_pminhash(mu, lam, s)
-        assert isinstance(res, AStarResult)
+        assert isinstance(res, AStarResult) and type(res.sample) is float
         if res.sample < 0.5:
             hits += 1
     assert abs(hits / n - 0.8) <= sigma_band(0.8, n)

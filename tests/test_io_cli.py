@@ -6,7 +6,6 @@ import pytest
 
 from jpminhash import io as jio
 from jpminhash.cli import run
-from jpminhash.dense import FiniteMeasure, PiecewiseDensity
 from jpminhash.harness import BandingScheme, PairSample, PairScore, index_build, ingest_text
 from jpminhash.minhash import signature
 from jpminhash.verify import REF_X, REF_Y
@@ -62,23 +61,12 @@ def test_signatures_jsonl_roundtrip(tmp_path):
     assert jio.read_signatures_jsonl(path) == sigs
 
 
-def test_measures_jsonl_roundtrip(tmp_path):
-    measures = [
-        ("m1", FiniteMeasure((0.5, 0.4, 0.1))),
-        ("m2", PiecewiseDensity((0.0, 0.5, 1.0), (1.6, 0.4))),
-    ]
-    path = tmp_path / "measures.jsonl"
-    jio.write_measures_jsonl(path, measures)
-    assert jio.read_measures_jsonl(path) == measures
-
-
 @pytest.mark.parametrize(
     "reader,text",
     [
         (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": 5}'),
-        (jio.read_measures_jsonl, '{"v": 1, "id": "m", "masses": 5}'),
     ],
-    ids=["samples-number", "masses-number"],
+    ids=["samples-number"],
 )
 def test_jsonl_readers_reject_scalar_lists_with_path_and_line(tmp_path, reader, text):
     path = tmp_path / "bad.jsonl"

@@ -190,6 +190,10 @@ def test_jw_unnormalized_inputs():
     assert jw(x, y) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="empty"):
         jw(SparseVector(()), SparseVector(()))
+    # both sums, 2e308 and 3e308, are past the float range
+    x = SparseVector(((0, 1e308), (1, 1.5e308)))
+    y = SparseVector(((0, 1.5e308), (1, 1e308)))
+    assert jw(x, y) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_support_jaccard_basics():

@@ -106,3 +106,6 @@ def test_normalize_is_scale_consistent_for_powers_of_two():
     d = normalize(v)
     scaled = SparseVector(tuple((i, 8.0 * m) for i, m in v.entries))
     assert normalize(scaled).entries == d.entries
+    # the total, 2.5e308, is past the float range
+    huge = normalize(SparseVector(((0, 1e308), (1, 1.5e308))))
+    assert huge.masses.tolist() == pytest.approx([0.4, 0.6], abs=1e-15)
