@@ -22,7 +22,7 @@ import numpy as np
 from .hashing import derive_seed, derive_seed_vec, fin64, fin64_vec
 from .minhash import batch_signatures, pminhash_many, signature
 from .similarity import SimilarityReport, similarity_report
-from .sparse import SparseDistribution, SparseVector, normalize
+from .sparse import SparseDistribution, SparseVector, _scale_rows, normalize
 
 __all__ = [
     "Document",
@@ -88,8 +88,8 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
     One pass lays every record's entries end to end and hashes each distinct
     token once.  One stable sort by (record, id) puts repeated ids of a
     record next to each other in input order, so they add as in
-    :meth:`SparseVector.from_arrays`; each row is then divided by the
-    ``math.fsum`` of its masses, as :func:`normalize` divides.
+    :meth:`SparseVector.from_arrays`; each row is then scaled and divided by
+    the ``math.fsum`` of its masses, as :func:`normalize` scales and divides.
     """
     doc_ids: list[str] = []
     tokens: list[str] = []
@@ -113,8 +113,11 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
     ids, rows, masses = ids[keep], rows[keep], masses[keep]
     if (masses < 0.0).any():  # an all-negative row would otherwise normalize to positive
         raise ValueError(f"mass for element {ids[masses < 0.0][0]} must be positive and finite")
-    bounds = np.searchsorted(rows, np.arange(len(doc_ids) + 1)).tolist()
-    mass_list = masses.tolist()
+    bounds = np.searchsorted(rows, np.arange(len(doc_ids) + 1))
+    lengths = np.diff(bounds)
+    nonempty = lengths > 0  # scaled rows sum without overflow near 1e308
+    masses = _scale_rows(masses, bounds[:-1][nonempty], lengths[nonempty])
+    bounds, mass_list = bounds.tolist(), masses.tolist()
     corpus: list[Document] = []
     for doc_id, lo, hi in zip(doc_ids, bounds, bounds[1:]):
         if lo < hi:

@@ -1,5 +1,7 @@
 """Bounded proposal-stream search: coupling, termination, continuous case."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from jpminhash.dense import (
     FiniteMeasure,
     PiecewiseDensity,
     _astar_many_discrete,
+    _astar_many_piecewise,
     astar_collision,
     astar_pminhash,
     global_bound,
     proposal_stream,
     refine_breakpoints,
 )
-from jpminhash.hashing import derive_seed_vec
+from jpminhash.hashing import TILE_CELLS, derive_seed_vec
 from jpminhash.minhash import pminhash
 from jpminhash.similarity import jp
 from jpminhash.sparse import SparseDistribution, SparseVector
@@ -23,6 +26,15 @@ from jpminhash.verify import REF_JP, sigma_band
 UNIFORM3 = FiniteMeasure((1.0, 1.0, 1.0))
 REF_MU = FiniteMeasure((0.5, 0.4, 0.1))
 REF_NU = FiniteMeasure((0.2, 0.4, 0.4))
+
+# two piecewise densities described on coarse and on fine pieces, and two
+# proposals that dominate them
+PW_MU = PiecewiseDensity((0.0, 0.5, 1.0), (1.6, 0.4))
+PW_NU = PiecewiseDensity((0.0, 0.5, 1.0), (0.4, 1.6))
+PW_MU_FINE = PiecewiseDensity((0.0, 0.125, 0.5, 0.8, 1.0), (1.6, 1.6, 0.4, 0.4))
+PW_NU_FINE = PiecewiseDensity((0.0, 0.25, 0.5, 1.0), (0.4, 0.4, 1.6))
+PW_UNIFORM = PiecewiseDensity((0.0, 1.0), (1.0,))
+PW_SKEWED = PiecewiseDensity((0.0, 0.5, 1.0), (0.8, 1.2))
 
 
 # --- types -------------------------------------------------------------------
@@ -122,6 +134,18 @@ def test_stream_first_position_uniformity():
 
     _, pvalue = chisquare(counts)
     assert pvalue > 0.001
+
+
+def test_subnormal_stream_orders_as_unit_masses():
+    # keys of subnormal masses would overflow; the stream sorts scaled keys
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            tiny = list(proposal_stream(FiniteMeasure((1e-310, 2e-310)), seed))
+            unit = list(proposal_stream(FiniteMeasure((1.0, 2.0)), seed))
+            assert [c for c, _ in tiny] == [c for c, _ in unit]
+            keys = [e for _, e in tiny]  # inf past the float range
+            assert keys == sorted(keys) and all(type(e) is float for e in keys)
 
 
 def test_continuous_stream_keys_increase():
@@ -234,9 +258,7 @@ def test_collision_matches_jp_discrete():
 
 
 def test_collision_piecewise_matches_piece_mass_jp():
-    mu = PiecewiseDensity((0.0, 0.5, 1.0), (1.6, 0.4))
-    nu = PiecewiseDensity((0.0, 0.5, 1.0), (0.4, 1.6))
-    lam = PiecewiseDensity((0.0, 1.0), (1.0,))
+    mu, nu, lam = PW_MU, PW_NU, PW_UNIFORM
     # per-piece masses (0.8, 0.2) vs (0.2, 0.8); two-element jp = 1 - tv = 0.4
     target = jp(
         SparseDistribution(((0, 0.8), (1, 0.2))), SparseDistribution(((0, 0.2), (1, 0.8)))
@@ -251,28 +273,50 @@ def test_collision_invariant_under_breakpoint_refinement():
     # describing the same measures with finer pieces, or switching to another
     # dominating piecewise proposal, must not move the collision target: the
     # rate is pinned by the masses on the common breakpoint set
-    mu = PiecewiseDensity((0.0, 0.5, 1.0), (1.6, 0.4))
-    nu = PiecewiseDensity((0.0, 0.5, 1.0), (0.4, 1.6))
-    mu_fine = PiecewiseDensity((0.0, 0.125, 0.5, 0.8, 1.0), (1.6, 1.6, 0.4, 0.4))
-    nu_fine = PiecewiseDensity((0.0, 0.25, 0.5, 1.0), (0.4, 0.4, 1.6))
-    lam_uniform = PiecewiseDensity((0.0, 1.0), (1.0,))
-    lam_skewed = PiecewiseDensity((0.0, 0.5, 1.0), (0.8, 1.2))
     n = 20_000
     for seed, (m, v, lam) in enumerate(
         [
-            (mu, nu, lam_uniform),
-            (mu_fine, nu_fine, lam_uniform),
-            (mu, nu, lam_skewed),
-            (mu_fine, nu_fine, lam_skewed),
+            (PW_MU, PW_NU, PW_UNIFORM),
+            (PW_MU_FINE, PW_NU_FINE, PW_UNIFORM),
+            (PW_MU, PW_NU, PW_SKEWED),
+            (PW_MU_FINE, PW_NU_FINE, PW_SKEWED),
         ]
     ):
         est = astar_collision(m, v, lam, 29 + seed, n)
         assert abs(est - 0.4) <= sigma_band(0.4, n)
 
 
+def test_piecewise_batch_matches_scalar():
+    # equal samples and equal iteration counts, seed for seed.  The batch
+    # draws 4 candidates per seed and step, in chunks of TILE_CELLS // 4
+    # seeds: the first case spans two chunks.  Zero pieces in the measure and
+    # in the proposal, and a bound of 9 (long searches), are covered too.
+    block = 4
+    chunk = TILE_CELLS // block
+    gap = PiecewiseDensity((0.0, 0.25, 0.75, 1.0), (3.0, 0.0, 1.0))
+    gap_lam = PiecewiseDensity((0.0, 0.25, 0.75, 1.0), (1.0, 0.0, 3.0))
+    spike = PiecewiseDensity((0.0, 0.1, 1.0), (9.0, 0.1))
+    cases = [(PW_MU, PW_UNIFORM, chunk + 300)] + [
+        (m, lam, 300)
+        for m in (PW_NU, PW_MU_FINE, PW_NU_FINE)
+        for lam in (PW_UNIFORM, PW_SKEWED)
+    ] + [(PW_MU, PW_SKEWED, 300), (gap, gap_lam, 1000), (spike, PW_UNIFORM, 1000)]
+    for mu, lam, count in cases:
+        seeds = derive_seed_vec(41, np.arange(count))
+        samples, iters = _astar_many_piecewise(mu, lam, seeds)
+        for i, s in enumerate(seeds):
+            res = astar_pminhash(mu, lam, int(s))
+            assert res.sample == samples[i]
+            assert res.iterations == iters[i]
+    assert iters.max() > 4 * block  # the spike needs several steps
+    with pytest.raises(ValueError, match="same kind"):
+        astar_collision(PW_MU, REF_MU, PW_UNIFORM, 0, 10)
+    with pytest.raises(ValueError, match="same kind"):
+        astar_collision(REF_MU, REF_NU, PW_UNIFORM, 0, 10)
+
+
 def test_continuous_search_marginal():
-    mu = PiecewiseDensity((0.0, 0.5, 1.0), (1.6, 0.4))
-    lam = PiecewiseDensity((0.0, 1.0), (1.0,))
+    mu, lam = PW_MU, PW_UNIFORM
     n = 20_000
     hits = 0
     for s in range(n):

@@ -1,8 +1,14 @@
 """Bit-exact contract of the hashing primitives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jpminhash
 from jpminhash.hashing import (
     GOLDEN64,
     MASK64,
@@ -92,3 +98,29 @@ def test_uniform_hash_is_roughly_uniform(n):
     u = uniform_hash_vec(np.arange(n, dtype=np.uint64), np.uint64(99))
     assert abs(u.mean() - 0.5) < 0.05
     assert 0.95 < 12.0 * u.var() < 1.05  # Var of U(0,1) is 1/12
+
+
+def test_golden_digests_under_reduced_simd_dispatch():
+    # np.log's last bit may follow numpy's SIMD dispatch; the artifacts must not
+    from numpy._core import _multiarray_umath as umath
+
+    off = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+           if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+    if not off:
+        pytest.skip("numpy dispatches to none of the AVX-512 targets here")
+    code = (
+        "import sys, pytest\n"
+        "from numpy._core import _multiarray_umath as umath\n"
+        f"assert not any(umath.__cpu_features__[f] for f in {off!r}), 'dispatch not reduced'\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]))\n"
+    )
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=" ".join(off),
+        PYTHONPATH=str(Path(jpminhash.__file__).parents[1]),
+    )
+    golden = Path(__file__).with_name("test_golden.py")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(golden)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
