@@ -18,7 +18,8 @@ in sample and iteration count; the batch takes its logs with ``math.log``, as
 the scalar stream does, so that no key depends on numpy's SIMD dispatch.
 
 Measures store read-only float64 arrays, as sparse vectors do, and compare
-by identity.  Finite searches run on copies scaled by a power of two.
+by identity.  Searches run on copies scaled by a power of two, made once per
+measure.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ class FiniteMeasure:
     def total(self) -> float:
         return math.fsum(self.masses.tolist())
 
+    @cached_property
+    def _unit(self) -> tuple[FiniteMeasure, int]:
+        """:func:`_unit_scaled` of this measure, made once: measures are immutable."""
+        return _unit_scaled(self)
+
     def __len__(self) -> int:
         return self.masses.shape[0]
 
@@ -122,6 +128,11 @@ class PiecewiseDensity:
     @cached_property
     def total(self) -> float:
         return float(self.piece_masses.sum())
+
+    @cached_property
+    def _unit(self) -> tuple[PiecewiseDensity, int]:
+        """:func:`_unit_scaled` of this density, made once: densities are immutable."""
+        return _unit_scaled(self)
 
     def density_at(self, t: float) -> float:
         if not 0.0 <= t < 1.0:
@@ -164,14 +175,18 @@ def global_bound(mu: Measure, lam: Measure) -> float:
     return float(np.max(m[pos] / l[pos]))
 
 
-def _unit_scaled(m: FiniteMeasure) -> tuple[FiniteMeasure, int]:
-    """``m`` with its largest mass scaled by ``2**-e`` into [0.5, 1), and ``e``.
+def _unit_scaled(m: Measure) -> tuple[Measure, int]:
+    """``m`` with its largest mass or density value scaled by ``2**-e`` into [0.5, 1), and ``e``.
 
     A search's keys on scaled measures are its keys on ``m`` times ``2**e``,
-    exactly for normal masses, so it makes the same decisions, overflowing
-    neither on subnormal masses nor on masses near 1e308.
+    exactly for normal masses and values, so it makes the same decisions,
+    overflowing neither on subnormal masses nor on masses near 1e308, and
+    its bound does not underflow when ``m`` is tiny against its proposal.
     """
-    return FiniteMeasure(_scale_rows(m.masses, [0], [len(m)])), math.frexp(float(m.masses.max()))[1]
+    if isinstance(m, FiniteMeasure):
+        return FiniteMeasure(_scale_rows(m.masses, [0], [len(m)])), math.frexp(float(m.masses.max()))[1]
+    values = _scale_rows(m.values, [0], [m.values.shape[0]])
+    return PiecewiseDensity(m.breakpoints, values), math.frexp(float(m.values.max()))[1]
 
 
 def _ldexp_or_inf(x: float, exp: int) -> float:
@@ -217,7 +232,7 @@ def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, floa
     a salted uniform, produced lazily one candidate at a time.
     """
     if isinstance(lam, FiniteMeasure):
-        scaled, exp = _unit_scaled(lam)
+        scaled, exp = lam._unit
         ids = np.nonzero(scaled.masses)[0]
         u = uniform_hash_vec(ids.astype(np.uint64), np.uint64(seed))
         keys = -np.log(u) / scaled.masses[ids]
@@ -254,9 +269,7 @@ def astar_pminhash(
     ``pminhash`` on the same seed, element for element.  Exact key ties keep
     the earlier-visited candidate.
     """
-    exp = 0
-    if isinstance(mu, FiniteMeasure) and isinstance(lam, FiniteMeasure):
-        (mu, exp), (lam, _) = _unit_scaled(mu), _unit_scaled(lam)
+    (mu, exp), (lam, _) = mu._unit, lam._unit
     b = global_bound(mu, lam)
     if isinstance(lam, FiniteMeasure):
         mu_of = mu.masses.item
@@ -296,7 +309,7 @@ def _astar_many_discrete(
     (element, seed) cells, which changes no result: the search runs in cache
     whatever large blocks the allocator still holds from earlier work.
     """
-    (mu, _), (lam, _) = _unit_scaled(mu), _unit_scaled(lam)
+    (mu, _), (lam, _) = mu._unit, lam._unit
     b = global_bound(mu, lam)
     seeds = np.asarray(seeds, dtype=np.uint64)
     ids = np.nonzero(lam.masses)[0]
@@ -340,6 +353,7 @@ def _astar_many_piecewise(
     searched in chunks of :data:`~jpminhash.hashing.TILE_CELLS` cells, as the
     finite batch is.
     """
+    (mu, _), (lam, _) = mu._unit, lam._unit
     b = global_bound(mu, lam)
     total = lam.total
     table = _inverse_cdf(lam)

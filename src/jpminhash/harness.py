@@ -310,9 +310,13 @@ def _band_keys_matrix(samples: np.ndarray, a: int, o: int, base_seeds) -> np.nda
 
 @dataclass(frozen=True)
 class InvertedIndex:
-    """Map from (band index, band key) to the documents posted there."""
+    """Map from (band index, band key) to the documents posted there.
 
-    buckets: dict[tuple[int, int], tuple[str, ...]]
+    ``index_build`` makes ``buckets`` a dict; ``io.read_index_jsonl`` may
+    make it a read-only mapping that decodes a bucket when it is looked up.
+    """
+
+    buckets: Mapping[tuple[int, int], tuple[str, ...]]
     scheme: BandingScheme
 
 

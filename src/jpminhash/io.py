@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import re
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -209,15 +212,99 @@ def read_signatures_jsonl(path: str | Path) -> list[Signature]:
 
 
 def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
+    """One header line, then one line per bucket sorted by (band, key).
+
+    Each line is what ``json.dumps`` writes for the same object; the bucket
+    lines are formatted directly, which is the form the reader's fast path
+    recognises.
+    """
     scheme = index.scheme
     lines = [
         json.dumps(
             {"v": 1, "kind": "index", "a": scheme.a, "o": scheme.o, "seed": str(scheme.base_seed)}
         )
     ]
-    for (band, key), docs in sorted(index.buckets.items()):
-        lines.append(json.dumps({"band": band, "key": str(key), "docs": list(docs)}))
+    lines.extend(
+        '{"band": %d, "key": "%d", "docs": %s}' % (band, key, json.dumps(docs))
+        for (band, key), docs in sorted(index.buckets.items())
+    )
     _write_text(path, lines)
+
+
+# The header and a bucket line of the canonical index file, as
+# write_index_jsonl writes them: ASCII only.  Strings hold printable
+# characters and JSON escapes, which is all json.dumps emits with its default
+# ensure_ascii; numbers have no leading zeros.
+_NUM = r"(0|[1-9][0-9]{0,19})"
+_CHARS = r"[ !#-\[\]-~]*+"  # printable ASCII but '"' and '\\'
+_STR = r'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*+"' % (_CHARS, _CHARS)
+_CANONICAL_HEADER = re.compile(
+    r'\{"v": 1, "kind": "index", "a": ([1-9][0-9]{0,9}), "o": ([1-9][0-9]{0,9}), "seed": "%s"\}\n'
+    % _NUM
+)
+_CANONICAL_BUCKET = re.compile(  # groups: band, key, docs
+    r'\{"band": %s, "key": "%s", "docs": (\[(?:%s(?:, %s)*+)?\])\}\n' % (_NUM, _NUM, _STR, _STR)
+)
+
+
+def _slot(bucket) -> int | None:
+    """``band << 64 | key`` for a bucket ``(band, key)`` of integers, else None."""
+    try:
+        band, key = map(operator.index, bucket)
+    except (TypeError, ValueError):
+        return None
+    return band << 64 | key if band >= 0 and 0 <= key <= MAX_ID else None
+
+
+class _LazyBuckets(Mapping):
+    """Read-only buckets that keep each bucket's ``docs`` JSON text and decode it on lookup.
+
+    ``raw`` maps ``band << 64 | key`` to the text; integer keys make no
+    object the garbage collector tracks, however many buckets there are.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: dict[int, str]) -> None:
+        self._raw = raw
+
+    def __getitem__(self, bucket: tuple[int, int]) -> tuple[str, ...]:
+        text = self._raw.get(_slot(bucket))
+        if text is None:
+            raise KeyError(bucket)
+        return tuple(json.loads(text))
+
+    def __contains__(self, bucket) -> bool:
+        return _slot(bucket) in self._raw
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((slot >> 64, slot & MAX_ID) for slot in self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+
+def _read_canonical_index(text: str) -> InvertedIndex | None:
+    """The index in ``text`` if the text is canonical and valid, else None.
+
+    Every check of :func:`_read_index_json` holds for a text this accepts,
+    which then reads to the same index; anything else is left to that reader.
+    """
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
+        return None
+    a, o, seed = map(int, header.groups())
+    # (text between lines, band, key, docs) per line, and the text after the last
+    parts = _CANONICAL_BUCKET.split(text[header.end():])
+    if seed > MAX_ID or any(parts[0::4]):  # no text outside the matched lines
+        return None
+    bands, keys = list(map(int, parts[1::4])), list(map(int, parts[2::4]))
+    if bands and (max(bands) >= o or max(keys) > MAX_ID):
+        return None
+    raw = dict(zip([band << 64 | key for band, key in zip(bands, keys)], parts[3::4]))
+    if len(raw) != len(bands):  # a repeated bucket
+        return None
+    return InvertedIndex(_LazyBuckets(raw), BandingScheme(a=a, o=o, base_seed=seed))
 
 
 def read_index_jsonl(path: str | Path) -> InvertedIndex:
@@ -227,7 +314,22 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
     ``band`` must be a JSON integer in ``[0, o)``, ``key`` a decimal string
     no larger than 2**64-1 and ``docs`` a list of string ids; no
     ``(band, key)`` may repeat.
+
+    A file in the canonical form that :func:`write_index_jsonl` writes
+    (ASCII, one ``json.dumps`` object per line, numbers without leading
+    zeros) is validated in one pattern scan over its text, and its
+    ``buckets`` is a read-only mapping that decodes a bucket's ``docs`` only
+    when the bucket is looked up; a query decodes its ``o`` buckets.  Any
+    other file, and any canonical file that fails a check, is read by the
+    line-by-line JSON reader, which accepts the same files, returns equal
+    buckets and raises each error with its ``path:line``.
     """
+    index = _read_canonical_index(Path(path).read_text(encoding="utf-8"))
+    return index if index is not None else _read_index_json(path)
+
+
+def _read_index_json(path: str | Path) -> InvertedIndex:
+    """:func:`read_index_jsonl` decoding every line as JSON into a dict of buckets."""
     lines = _json_lines(path)
     lineno, meta = next(lines, (0, None))
     if meta is None:

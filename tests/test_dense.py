@@ -1,5 +1,6 @@
 """Bounded proposal-stream search: coupling, termination, continuous case."""
 
+import math
 import warnings
 
 import numpy as np
@@ -313,6 +314,37 @@ def test_piecewise_batch_matches_scalar():
         astar_collision(PW_MU, REF_MU, PW_UNIFORM, 0, 10)
     with pytest.raises(ValueError, match="same kind"):
         astar_collision(REF_MU, REF_NU, PW_UNIFORM, 0, 10)
+
+
+def _pw_scaled(d: PiecewiseDensity, factor: float) -> PiecewiseDensity:
+    return PiecewiseDensity(d.breakpoints, d.values * factor)
+
+
+def test_piecewise_searches_rescale():
+    # the searches run on copies scaled by powers of two, so a pair whose
+    # bound underflows (or overflows) searches as its unit-scale pair does
+    tiny, huge = PiecewiseDensity((0.0, 1.0), (1e-300,)), PiecewiseDensity((0.0, 1.0), (1e300,))
+    assert global_bound(tiny, huge) == 0.0
+    unit = (
+        PiecewiseDensity((0.0, 1.0), (math.frexp(1e-300)[0],)),
+        PiecewiseDensity((0.0, 1.0), (math.frexp(1e300)[0],)),
+    )
+    cases = [(tiny, huge, *unit, math.ldexp(1.0, math.frexp(1e-300)[1]))]
+    for mu, lam in ((PW_MU, PW_SKEWED), (PW_NU_FINE, PW_UNIFORM), (PW_MU_FINE, PW_SKEWED)):
+        for s in (2.0**900, 2.0**-900):
+            # keys scale by 1/s whether lam scales with mu or against it
+            cases.append((_pw_scaled(mu, s), _pw_scaled(lam, s), mu, lam, s))
+            cases.append((_pw_scaled(mu, s), _pw_scaled(lam, 1 / s), mu, lam, s))
+    seeds = derive_seed_vec(43, np.arange(300))
+    for mu, lam, mu1, lam1, s in cases:
+        samples, iters = _astar_many_piecewise(mu, lam, seeds)
+        samples1, iters1 = _astar_many_piecewise(mu1, lam1, seeds)
+        assert np.array_equal(samples, samples1) and np.array_equal(iters, iters1)
+        for seed in seeds[:30].tolist():
+            res, res1 = astar_pminhash(mu, lam, seed), astar_pminhash(mu1, lam1, seed)
+            assert (res.sample, res.iterations) == (res1.sample, res1.iterations)
+            assert res.best_key == res1.best_key / s  # in the units of mu
+    assert astar_collision(tiny, tiny, huge, 0, 100) == 1.0
 
 
 def test_continuous_search_marginal():

@@ -1,13 +1,25 @@
 """File formats round-trip and the CLI contract (exit codes, determinism)."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpminhash import io as jio
 from jpminhash.cli import run
-from jpminhash.harness import BandingScheme, PairSample, PairScore, index_build, ingest_text
+from jpminhash.harness import (
+    BandingScheme,
+    InvertedIndex,
+    PairSample,
+    PairScore,
+    index_build,
+    ingest_text,
+)
 from jpminhash.minhash import signature
+from jpminhash.sparse import MAX_ID
 from jpminhash.verify import REF_X, REF_Y
 
 
@@ -83,6 +95,81 @@ def test_index_jsonl_roundtrip(tmp_path):
     back = jio.read_index_jsonl(path)
     assert back.scheme == index.scheme
     assert back.buckets == index.buckets
+
+
+# doc ids that stress the canonical form: JSON escapes, control characters,
+# line breaks that str.splitlines knows, non-ASCII and lone surrogates
+_DOC_IDS = st.text(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x01", "\x1f", "\x7f", "\x85", "\u2028", "\ud800",
+                     "\udfff", "\xe9", "a", " "])
+    | st.characters(exclude_categories=()),
+    max_size=6,
+)
+
+
+@st.composite
+def _indexes(draw):
+    o = draw(st.integers(1, 4))
+    scheme = BandingScheme(draw(st.integers(1, 3)), o, draw(st.integers(0, MAX_ID)))
+    key = st.sampled_from([0, 1, 9, 10, MAX_ID - 1, MAX_ID]) | st.integers(0, MAX_ID)
+    buckets = draw(st.dictionaries(
+        st.tuples(st.integers(0, o - 1), key), st.lists(_DOC_IDS, max_size=4).map(tuple), max_size=10
+    ))
+    return InvertedIndex(buckets, scheme)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexes())
+def test_index_fast_path_agrees_with_json_path(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.jsonl"
+        jio.write_index_jsonl(path, index)
+        fast, json_path = jio.read_index_jsonl(path), jio._read_index_json(path)
+    assert isinstance(fast.buckets, jio._LazyBuckets)  # what the writer writes is canonical
+    assert fast.scheme == json_path.scheme == index.scheme
+    # not always index.buckets: JSON reads a written pair of lone surrogates as one character
+    assert dict(fast.buckets) == json_path.buckets
+
+
+def test_noncanonical_index_files_read_back_equal(tmp_path):
+    corpus, _ = ingest_text([("d1", "alpha beta gamma"), ("d2", "alpha beta delta"), ("d3", "zeta")])
+    index = index_build(corpus, BandingScheme(2, 3, base_seed=7))
+    path = tmp_path / "index.jsonl"
+    jio.write_index_jsonl(path, index)
+    text = path.read_text(encoding="utf-8")
+    header, *rows = text.splitlines()
+    variants = {
+        "comment-and-blank": header + "\n# a comment\n\n" + "\n".join(rows) + "\n",
+        "crlf": text.replace("\n", "\r\n"),
+        "key-leading-zeros": text.replace('"key": "', '"key": "00', 1),
+        "extra-spaces": text.replace('"docs": ', '"docs" :  ').replace("{", "{ "),
+        "unsorted": header + "\n" + "\n".join(reversed(rows)) + "\n",
+        "no-final-newline": text[:-1],
+        "non-ascii-comment": "# ind\xe9x\n" + text,
+    }
+    assert len(set(variants.values())) == len(variants)
+    for name, variant in variants.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(variant.encode("utf-8"))
+        back = jio.read_index_jsonl(path)
+        assert back.scheme == index.scheme, name
+        assert dict(back.buckets) == index.buckets, name
+
+
+def test_index_buckets_decode_on_lookup(tmp_path):
+    corpus, _ = ingest_text([("d1", "alpha beta"), ("d\u2028\"2", "alpha gamma")])
+    index = index_build(corpus, BandingScheme(1, 2, base_seed=3))
+    path = tmp_path / "index.jsonl"
+    jio.write_index_jsonl(path, index)
+    back = jio.read_index_jsonl(path).buckets
+    assert list(back) == sorted(index.buckets)
+    band, key = bucket = max(index.buckets)  # in band 1
+    assert band == 1 and bucket in back
+    assert back[bucket] == back.get(bucket) == index.buckets[bucket]
+    for absent in ((5, 0), (0, 1 << 64 | key), (-1, key), (1.0, key), ("1", key), (1,), None):
+        assert absent not in back and back.get(absent, ()) == ()
+    with pytest.raises(TypeError):
+        back[bucket] = ("x",)  # read-only
 
 
 def test_corpus_jsonl_errors(tmp_path):
@@ -245,6 +332,22 @@ def test_cli_eval_rejects_degenerate_flags(tmp_path, capsys, flags):
 _OK = '{"id": "a", "text": "ok"}\n'
 _HEADER = '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "0"}\n'
 
+_BUCKET = '{"band": %d, "key": "%d", "docs": ["%s"]}'
+_AFTER_2000 = _HEADER + "".join(_BUCKET % (i % 2, i, "d%d" % i) + "\n" for i in range(2000))
+# index files that are canonical but for one line, which the query does not hit
+_CANONICAL_INDEX_ROWS = [
+    ("bad-line-after-2000", "index", _AFTER_2000 + '{"band": 1, "key": "7", "docs": ["a"]', 2002),
+    ("bucket-repeated-apart", "index",
+     _HEADER + "\n".join((_BUCKET % (0, 1, "a"), _BUCKET % (1, 1, "b"), _BUCKET % (0, 1, "c"))), 4),
+    ("doc-raw-control", "index", _HEADER + _BUCKET % (0, 1, "a\x01b"), 2),
+    ("doc-bad-escape", "index", _HEADER + _BUCKET % (0, 1, "a\\xb"), 2),
+    ("doc-raw-u2028", "index", _HEADER + _BUCKET % (0, 1, "a\u2028b"), 2),
+    ("band-leading-zero", "index", _HEADER + '{"band": 01, "key": "1", "docs": ["a"]}', 2),
+    ("band-out-of-range-after-2000", "index", _AFTER_2000 + _BUCKET % (2, 7, "a"), 2002),
+    ("seed-above-64-bits", "index",
+     '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "%d"}\n' % 2**64 + _BUCKET % (0, 1, "a"), 1),
+]
+
 # (case, file role, file text, line the error must name)
 MALFORMED = [
     ("weights-list", "corpus", '{"id": "a", "weights": [1, 2]}', 1),
@@ -268,6 +371,7 @@ MALFORMED = [
     ("key-above-64-bits", "index", _HEADER + '{"band": 0, "key": "%d", "docs": ["a"]}' % 2**64, 2),
     ("key-negative", "index", _HEADER + '{"band": 0, "key": "-1", "docs": ["a"]}', 2),
     ("bucket-repeated", "index", _HEADER + '{"band": 0, "key": "1", "docs": ["a"]}\n' * 2, 3),
+    *_CANONICAL_INDEX_ROWS,
 ]
 
 
@@ -276,7 +380,7 @@ MALFORMED = [
 )
 def test_cli_malformed_records_name_path_and_line(tmp_path, capsys, role, text, line):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(text + "\n")
+    bad.write_text(text + "\n", encoding="utf-8")
     if role == "corpus":
         argv = ["hash", "--corpus", str(bad), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]
     else:
@@ -285,6 +389,20 @@ def test_cli_malformed_records_name_path_and_line(tmp_path, capsys, role, text, 
         argv = ["query", "--index", str(bad), "--doc", str(doc)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
+@pytest.mark.parametrize(
+    "text,line", [c[2:] for c in _CANONICAL_INDEX_ROWS], ids=[c[0] for c in _CANONICAL_INDEX_ROWS]
+)
+def test_index_errors_are_those_of_the_json_path(tmp_path, text, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        jio._read_index_json(bad)
+    with pytest.raises(ValueError) as got:
+        jio.read_index_jsonl(bad)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{bad}:{line}: ")
 
 
 @pytest.mark.parametrize("line", ["abc", '{"a": 1} x', "{", '{"a": 1,}', '{"a": [1, 2}'])

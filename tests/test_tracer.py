@@ -45,3 +45,21 @@ def test_tracer_counts_each_hash_once(monkeypatch, tmp_path):
             assert cli.run(argv) == 0
         assert t.counts["minhash.hashes"] == hashes
         assert t.counts["hashing.uniform_hash_vec.elements"] == hashes
+
+
+def test_tracer_counts_the_buckets_of_a_read_index(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    corpus, query = tmp_path / "corpus.jsonl", tmp_path / "query.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": "x y z"[: 1 + i % 5]}) + "\n"
+                              for i in range(12)))
+    query.write_text(json.dumps({"id": "q", "text": "x y"}) + "\n")
+    index = tmp_path / "index.jsonl"
+    assert cli.run(["index", "--corpus", str(corpus), "--a", "1", "--o", "4", "--out", str(index)]) == 0
+    sizes = [len(json.loads(line)["docs"]) for line in index.read_text().splitlines()[1:]]
+    with tracer.Tracer() as t:
+        assert cli.run(["query", "--index", str(index), "--doc", str(query)]) == 0
+    assert t.counts["harness.buckets"] == len(sizes)
+    assert t.counts["harness.bucket_size_max"] == max(sizes) > 1
+    assert t.counts["io.index_bytes"] == index.stat().st_size
