@@ -148,13 +148,16 @@ def read_pr_csv(path: str | Path) -> list[PRPoint]:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+def _json_lines(path: str | Path, text: str | None = None) -> Iterator[tuple[int, dict]]:
     """The JSON object on each non-comment, non-empty line, with its 1-based line number.
 
+    ``text`` is the file's content when the caller has read it already.
     Each line is decoded by one call to the decoder's scanner, which is what
     ``json.loads`` runs after its own per-call checks.
     """
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -234,16 +237,18 @@ def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
 # The header and a bucket line of the canonical index file, as
 # write_index_jsonl writes them: ASCII only.  Strings hold printable
 # characters and JSON escapes, which is all json.dumps emits with its default
-# ensure_ascii; numbers have no leading zeros.
+# ensure_ascii; numbers have no leading zeros.  The character class excludes
+# the quote and the backslash, and each escape starts with a backslash, so a
+# string matches in one way only and a failed match backtracks in linear time.
 _NUM = r"(0|[1-9][0-9]{0,19})"
-_CHARS = r"[ !#-\[\]-~]*+"  # printable ASCII but '"' and '\\'
-_STR = r'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*+"' % (_CHARS, _CHARS)
+_CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\\'
+_STR = r'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*"' % (_CHARS, _CHARS)
 _CANONICAL_HEADER = re.compile(
     r'\{"v": 1, "kind": "index", "a": ([1-9][0-9]{0,9}), "o": ([1-9][0-9]{0,9}), "seed": "%s"\}\n'
     % _NUM
 )
 _CANONICAL_BUCKET = re.compile(  # groups: band, key, docs
-    r'\{"band": %s, "key": "%s", "docs": (\[(?:%s(?:, %s)*+)?\])\}\n' % (_NUM, _NUM, _STR, _STR)
+    r'\{"band": %s, "key": "%s", "docs": (\[(?:%s(?:, %s)*)?\])\}\n' % (_NUM, _NUM, _STR, _STR)
 )
 
 
@@ -320,17 +325,22 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
     zeros) is validated in one pattern scan over its text, and its
     ``buckets`` is a read-only mapping that decodes a bucket's ``docs`` only
     when the bucket is looked up; a query decodes its ``o`` buckets.  Any
-    other file, and any canonical file that fails a check, is read by the
-    line-by-line JSON reader, which accepts the same files, returns equal
-    buckets and raises each error with its ``path:line``.
+    other file, and any canonical file that fails a check, is read from the
+    same text by the line-by-line JSON reader, which accepts the same files,
+    returns equal buckets and raises each error with its ``path:line``; such
+    a file costs that reader plus the failed pattern scan.
     """
-    index = _read_canonical_index(Path(path).read_text(encoding="utf-8"))
-    return index if index is not None else _read_index_json(path)
+    text = Path(path).read_text(encoding="utf-8")
+    index = _read_canonical_index(text)
+    return index if index is not None else _read_index_json(path, text)
 
 
-def _read_index_json(path: str | Path) -> InvertedIndex:
-    """:func:`read_index_jsonl` decoding every line as JSON into a dict of buckets."""
-    lines = _json_lines(path)
+def _read_index_json(path: str | Path, text: str | None = None) -> InvertedIndex:
+    """:func:`read_index_jsonl` decoding every line as JSON into a dict of buckets.
+
+    ``text`` is the file's content when the caller has read it already.
+    """
+    lines = _json_lines(path, text)
     lineno, meta = next(lines, (0, None))
     if meta is None:
         raise ValueError(f"{path}: empty index file")

@@ -1,6 +1,7 @@
 """File formats round-trip and the CLI contract (exit codes, determinism)."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -129,6 +130,12 @@ def test_index_fast_path_agrees_with_json_path(index):
     assert fast.scheme == json_path.scheme == index.scheme
     # not always index.buckets: JSON reads a written pair of lone surrogates as one character
     assert dict(fast.buckets) == json_path.buckets
+
+
+def test_canonical_index_patterns_use_python_310_syntax():
+    # possessive quantifiers and atomic groups need Python 3.11's re; the package supports 3.10
+    for pattern in (jio._CANONICAL_HEADER, jio._CANONICAL_BUCKET):
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern)
 
 
 def test_noncanonical_index_files_read_back_equal(tmp_path):

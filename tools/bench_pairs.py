@@ -7,10 +7,10 @@ Usage (from the repository root):
         --seeds 101-110 --seconds 45 --out BENCH_8.json
 
 The parent side is the tree of ``--parent``, exported with ``git archive``
-into a directory under ``--workdir`` (a new temporary directory by
-default); the change side is the working tree.  For each seed it runs
-``perfbench/run.py`` once on each side, one after the other, and swaps which
-side goes first from one seed to the next.  Each run's result becomes one
+into a directory under ``--workdir``, where later runs reuse it (by default
+a temporary directory, removed at the end); the change side is the working
+tree.  For each seed it runs ``perfbench/run.py`` once on each side, one
+after the other, and swaps which side goes first from one seed to the next.  Each run's result becomes one
 line of the ``--out`` JSON list, ``{"side", "workload", "seed", "seconds",
 "trace", "result"}``, where ``result`` is the last stdout line of
 ``perfbench/run.py``.  Lines already in ``--out`` are kept, and the file is
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,15 +43,25 @@ def _seeds(text: str) -> list[int]:
 
 
 def _export(rev: str, workdir: Path) -> Path:
-    """The tree of ``rev``, written under ``workdir``."""
+    """The tree of ``rev``, written under ``workdir``.
+
+    The tree is extracted into a temporary sibling and renamed into place
+    when complete, so a directory left by an earlier run is reused only if
+    whole.
+    """
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     dest = workdir / f"parent-{sha[:12]}"
     if not dest.is_dir():
         archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(dest)
+        partial = Path(tempfile.mkdtemp(prefix=dest.name + ".partial-", dir=workdir))
+        try:
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(partial)
+            partial.rename(dest)
+        finally:
+            shutil.rmtree(partial, ignore_errors=True)
     return dest
 
 
@@ -79,8 +90,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", type=Path, help="where the parent tree is written")
     args = parser.parse_args(argv)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    workdir.mkdir(parents=True, exist_ok=True)
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
+        return _pairs(args, args.workdir)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        return _pairs(args, Path(workdir))
+
+
+def _pairs(args: argparse.Namespace, workdir: Path) -> int:
+    """Run the pairs with the parent tree under ``workdir``; print the medians."""
     sides = {"parent": _export(args.parent, workdir), "change": ROOT}
     rows = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else []
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
