@@ -112,11 +112,12 @@ def _cmd_sim(args) -> int:
         corpus = _load_corpus(args.pairs)
         if len(corpus) % 2 != 0:
             raise CliError(f"{args.pairs}: pair file needs an even number of documents")
-        scores = []
-        for i in range(0, len(corpus), 2):
-            a, b = corpus[i], corpus[i + 1]
-            scores.append(harness.score_pair(a.doc_id, b.doc_id, a.dist, b.dist))
-        pairs = harness.PairSample(tuple(scores))
+        firsts, seconds = corpus[0::2], corpus[1::2]
+        pairs = harness.PairSample(harness.score_pairs(
+            [(a.doc_id, b.doc_id) for a, b in zip(firsts, seconds)],
+            [a.dist for a in firsts],
+            [b.dist for b in seconds],
+        ))
         comments = [f"pairs={args.pairs.name}"]
     io.write_pair_csv(args.out, pairs, comments=comments)
     return 0

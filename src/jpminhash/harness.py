@@ -11,7 +11,6 @@ divergence scatter summaries used by the verification suite.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -21,8 +20,17 @@ import numpy as np
 
 from .hashing import derive_seed, derive_seed_vec, fin64, fin64_vec
 from .minhash import batch_signatures, pminhash_many, signature
-from .similarity import SimilarityReport, similarity_report
-from .sparse import SparseDistribution, SparseVector, _scale_rows, normalize
+# similarity_report and normalize are not called here; perfbench/tracer.py
+# patches both names in this module, so they must exist here.
+from .similarity import _aligned_rows, _report_rows, similarity_report  # noqa: F401
+from .sparse import (  # noqa: F401
+    SparseDistribution,
+    SparseVector,
+    _check_masses,
+    _kept_bounds,
+    _normalize_rows,
+    normalize,
+)
 
 __all__ = [
     "Document",
@@ -37,7 +45,7 @@ __all__ = [
     "token_element_id",
     "corpus_from_records",
     "synth_pairs",
-    "score_pair",
+    "score_pairs",
     "amplify",
     "band_keys",
     "index_build",
@@ -90,6 +98,10 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
     record next to each other in input order, so they add as in
     :meth:`SparseVector.from_arrays`; each row is then scaled and divided by
     the ``math.fsum`` of its masses, as :func:`normalize` scales and divides.
+    The masses are checked once for the whole batch, with the message
+    :meth:`SparseVector.from_arrays` gives; a row of positive finite masses
+    divided by their ``fsum`` sums to one within rounding, so no row is
+    summed again.
     """
     doc_ids: list[str] = []
     tokens: list[str] = []
@@ -113,17 +125,16 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
     ids, rows, masses = ids[keep], rows[keep], masses[keep]
     if (masses < 0.0).any():  # an all-negative row would otherwise normalize to positive
         raise ValueError(f"mass for element {ids[masses < 0.0][0]} must be positive and finite")
-    bounds = np.searchsorted(rows, np.arange(len(doc_ids) + 1))
-    lengths = np.diff(bounds)
-    nonempty = lengths > 0  # scaled rows sum without overflow near 1e308
-    masses = _scale_rows(masses, bounds[:-1][nonempty], lengths[nonempty])
-    bounds, mass_list = bounds.tolist(), masses.tolist()
-    corpus: list[Document] = []
-    for doc_id, lo, hi in zip(doc_ids, bounds, bounds[1:]):
-        if lo < hi:
-            total = math.fsum(mass_list[lo:hi])
-            dist = SparseDistribution.from_arrays(ids[lo:hi], masses[lo:hi] / total)
-            corpus.append(Document(doc_id=doc_id, dist=dist))
+    lengths = np.bincount(rows, minlength=len(doc_ids))
+    nonempty = np.flatnonzero(lengths)
+    bounds = np.zeros(nonempty.shape[0] + 1, dtype=np.intp)
+    np.cumsum(lengths[nonempty], out=bounds[1:])
+    masses = _normalize_rows(masses, bounds)  # scaled rows sum without overflow near 1e308
+    keep = masses != 0.0  # a mass far below its row's largest can round to zero
+    _check_masses(ids[keep], masses[keep])
+    bounds = _kept_bounds(keep, bounds)
+    dists = SparseDistribution._rows(ids[keep], masses[keep], bounds)
+    corpus = [Document(doc_ids[r], dist) for r, dist in zip(nonempty.tolist(), dists)]
     return corpus, len(doc_ids) - len(corpus)
 
 
@@ -171,27 +182,21 @@ class PairSample:
         return len(self.scores)
 
 
-def score_pair(
-    id_a: str, id_b: str, x: SparseDistribution, y: SparseDistribution, weight: float = 1.0
-) -> PairScore:
-    """Score one labeled pair with all five measures."""
-    rep: SimilarityReport = similarity_report(x, y)
-    return PairScore(
-        id_a=id_a,
-        id_b=id_b,
-        jp=rep.jp,
-        jw=rep.jw,
-        jsd=rep.jsd,
-        tv=rep.tv,
-        support_jaccard=rep.support_jaccard,
-        weight=weight,
+def score_pairs(
+    labels: Sequence[tuple[str, str]],
+    xs: Sequence[SparseDistribution],
+    ys: Sequence[SparseDistribution],
+) -> tuple[PairScore, ...]:
+    """Score the labeled pairs ``(xs[r], ys[r])`` with all five measures, all at once."""
+    return _scores(labels, *_aligned_rows(xs, ys))
+
+
+def _scores(labels, ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> tuple[PairScore, ...]:
+    """PairScores of aligned packed rows: row r is the pair labeled ``labels[r]``."""
+    jp, jw, jaccard, tv, jsd = (v.tolist() for v in _report_rows(ux, uy, bounds))
+    return tuple(
+        PairScore(a, b, *values) for (a, b), *values in zip(labels, jp, jw, jsd, tv, jaccard)
     )
-
-
-def _exp_dist(rng: np.random.Generator, ids: np.ndarray) -> SparseDistribution:
-    masses = rng.exponential(size=ids.shape[0])
-    masses = np.maximum(masses, 1e-12)  # exponential draws of exactly 0 are void
-    return normalize(SparseVector.from_arrays(ids, masses))
 
 
 def synth_pairs(
@@ -208,50 +213,82 @@ def synth_pairs(
     y likewise with n2.  The noise supports are windows shifted by random
     offsets, so pairs range from identical to disjoint.  ``corpus`` draws
     random document pairs from an ingested corpus.
+
+    The random draws are made pair by pair; everything after them is done
+    for all pairs at once, bit for bit as :func:`normalize` and
+    :func:`similarity_report` do it for one.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if mode not in ("sweep", "corpus"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    scores: list[PairScore] = []
-    dists: dict[str, SparseDistribution] = {}
     if mode == "corpus":
         if not corpus or len(corpus) < 2:
             raise ValueError("corpus mode needs at least two documents")
-        by_id = {d.doc_id: d.dist for d in corpus}
         n = len(corpus)
+        picks = []
         for _ in range(count):
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n - 1))
-            if j >= i:
-                j += 1
-            a, b = corpus[i], corpus[j]
-            scores.append(score_pair(a.doc_id, b.doc_id, a.dist, b.dist))
-        return PairSample(tuple(scores), dists=by_id)
-    for k in range(count):
+            picks.append((corpus[i], corpus[j + (j >= i)]))
+        scores = score_pairs(
+            [(a.doc_id, b.doc_id) for a, b in picks], [a.dist for a, _ in picks], [b.dist for _, b in picks]
+        )
+        return PairSample(scores, dists={d.doc_id: d.dist for d in corpus})
+    x, y, window = _sweep_windows(rng, count)
+    labels = [(f"sweep-{k}-a", f"sweep-{k}-b") for k in range(count)]
+    union = (x != 0.0) | (y != 0.0)
+    scores = _scores(labels, x[union], y[union], _kept_bounds(union, window))
+    ids = (np.arange(window[-1]) - np.repeat(window[:-1], np.diff(window))).astype(np.uint64)
+    sides = []
+    for v in (x, y):
+        keep = v != 0.0
+        sides.append(SparseDistribution._rows(ids[keep], v[keep], _kept_bounds(keep, window)))
+    dists: dict[str, SparseDistribution] = {}
+    for (id_a, id_b), xd, yd in zip(labels, *sides):
+        dists[id_a] = xd
+        dists[id_b] = yd
+    return PairSample(scores, dists=dists)
+
+
+def _sweep_windows(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, y, window)`` of ``count`` sweep pairs, drawn pair by pair, built all at once.
+
+    Pair k lives in the window of ids ``[0, dim + max(off1, off2))``, and
+    the windows lie end to end, pair k's at ``window[k]:window[k + 1]``;
+    ``x`` and ``y`` hold both sides' masses there, 0 where an id is absent.
+    """
+    dims, t, offsets, draws = [], [], [], []
+    for _ in range(count):
         dim = int(rng.integers(10, 201))
-        base_ids = np.arange(dim, dtype=np.uint64)
-        z = _exp_dist(rng, base_ids)
-        t = float(rng.uniform())
-        off1 = int(rng.integers(0, 2 * dim))
-        off2 = int(rng.integers(0, 2 * dim))
-        n1 = _exp_dist(rng, np.arange(off1, off1 + dim, dtype=np.uint64))
-        n2 = _exp_dist(rng, np.arange(off2, off2 + dim, dtype=np.uint64))
-        x = _mix(z, n1, t)
-        y = _mix(z, n2, t)
-        id_a = f"sweep-{k}-a"
-        id_b = f"sweep-{k}-b"
-        dists[id_a] = x
-        dists[id_b] = y
-        scores.append(score_pair(id_a, id_b, x, y))
-    return PairSample(tuple(scores), dists=dists)
-
-
-def _mix(z: SparseDistribution, noise: SparseDistribution, t: float) -> SparseDistribution:
-    ids = np.concatenate([z.ids, noise.ids])
-    masses = np.concatenate([(1.0 - t) * z.masses, t * noise.masses])
-    return normalize(SparseVector.from_arrays(ids, masses))
+        draws.append(rng.exponential(size=dim))  # z
+        t.append(float(rng.uniform()))
+        offsets.append((0, int(rng.integers(0, 2 * dim)), int(rng.integers(0, 2 * dim))))
+        draws.append(rng.exponential(size=dim))  # n1
+        draws.append(rng.exponential(size=dim))  # n2
+        dims.append(dim)
+    # z, n1 and n2 of pair k are rows 3k, 3k + 1 and 3k + 2, each normalized
+    row_len = np.repeat(dims, 3)
+    bounds = np.zeros(row_len.shape[0] + 1, dtype=np.intp)
+    np.cumsum(row_len, out=bounds[1:])
+    parts = np.maximum(np.concatenate(draws), 1e-12)  # exponential draws of exactly 0 are void
+    parts = _normalize_rows(parts, bounds)
+    offsets = np.array(offsets)
+    window = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.array(dims) + offsets.max(axis=1), out=window[1:])
+    # element i of row 3k + j goes to position offsets[k, j] + i of pair k's window
+    pair, part = np.divmod(np.arange(row_len.shape[0]), 3)
+    at = np.arange(parts.shape[0]) + np.repeat(window[pair] + offsets[pair, part] - bounds[:-1], row_len)
+    t = np.array(t)[pair]
+    parts *= np.repeat(np.where(part == 0, 1.0 - t, t), row_len)
+    # mixed as from_arrays adds a repeated id: 0 + (1-t) z, then + t n
+    z, n1, n2 = (np.repeat(part == j, row_len) for j in range(3))
+    x, y = np.zeros(window[-1]), np.zeros(window[-1])
+    x[at[z]] = y[at[z]] = parts[z]
+    x[at[n1]] += parts[n1]
+    y[at[n2]] += parts[n2]
+    return _normalize_rows(x, window), _normalize_rows(y, window), window
 
 
 def amplify(p: float, a: int, o: int) -> float:
@@ -461,16 +498,15 @@ def empirical_retrieval_runs(
     if not positives.any():
         raise ValueError("degenerate task")
     weights = np.array([s.weight for s in pairs.scores])
-    dists_a = [pairs.dists[s.id_a] for s in pairs.scores]
-    dists_b = [pairs.dists[s.id_b] for s in pairs.scores]
+    n = len(pairs.scores)
+    # both sides in one batch: an id shared by any two documents is hashed once
+    dists = [pairs.dists[s.id_a] for s in pairs.scores] + [pairs.dists[s.id_b] for s in pairs.scores]
     runs: list[tuple[float, float]] = []
     for r in range(replicates):
         scheme = BandingScheme(a, o, base_seed=derive_seed(seed, r))
-        keys_a, keys_b = (
-            _band_keys_matrix(batch_signatures(d, scheme.base_seed, scheme.k), a, o, scheme.base_seed)
-            for d in (dists_a, dists_b)
-        )
-        retrieved = (keys_a == keys_b).any(axis=1)
+        samples = batch_signatures(dists, scheme.base_seed, scheme.k)
+        keys = _band_keys_matrix(samples, a, o, scheme.base_seed)
+        retrieved = (keys[:n] == keys[n:]).any(axis=1)
         runs.append(_weighted_pr(weights, positives, retrieved.astype(float)))
     return runs
 

@@ -181,20 +181,19 @@ def _require(obj: dict, key: str, path: str | Path, lineno: int):
 
 
 def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
-    lines = []
-    for s in sigs:
-        lines.append(
-            json.dumps(
-                {
-                    "v": 1,
-                    "id": s.doc_id,
-                    "seed": str(s.base_seed),
-                    "k": s.k,
-                    "samples": [str(v) for v in s.samples],
-                }
-            )
-        )
-    _write_text(path, lines)
+    """One line per signature, what ``json.dumps`` writes for its record, formatted directly.
+
+    The record is ``{"v": 1, "id", "seed", "k", "samples"}`` with the seed
+    and the samples as decimal strings; only the id needs JSON escaping.
+    """
+    _write_text(
+        path,
+        (
+            '{"v": 1, "id": %s, "seed": "%d", "k": %d, "samples": ["%s"]}'
+            % (json.dumps(s.doc_id), s.base_seed, s.k, '", "'.join(map(str, s.samples)))
+            for s in sigs
+        ),
+    )
 
 
 def read_signatures_jsonl(path: str | Path) -> list[Signature]:

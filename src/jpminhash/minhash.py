@@ -61,6 +61,10 @@ def pminhash(x: SparseVector, seed: int) -> int:
     return best_id
 
 
+# Cells of (distinct id, seed) log(u) that _race keeps at a time when ids repeat.
+_TABLE_CELLS = 4 * TILE_CELLS
+
+
 def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
     """(n_rows, n_seeds) matrix: the :func:`pminhash` sample of every row under every seed.
 
@@ -69,6 +73,11 @@ def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
     rows are raced together while their lengths sum to at most
     ``TILE_CELLS // n_seeds``; a row longer than that alone is raced in
     blocks of ``TILE_CELLS // row_len`` seeds.
+
+    When an id occurs more than once in the batch, each distinct id is
+    hashed once per seed: ``log(u)`` of (distinct id, seed) is tabled for a
+    block of at most ``_TABLE_CELLS // n_distinct`` seeds at a time, and the
+    tiles of that block gather their rows from the table.
     """
     row_len = np.asarray(row_len, dtype=np.intp)
     # reduceat would give an empty row the next row's element, with no error
@@ -80,25 +89,46 @@ def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
     np.cumsum(row_len, out=starts[1:])
     neg_masses = -_scale_rows(masses, starts[:-1], row_len)
     out = np.empty((n_rows, n_seeds), dtype=np.uint64)
-    fit = TILE_CELLS // max(n_seeds, 1)  # elements a tile holds at full seed width
-    r = 0
-    while r < n_rows:
-        lo = starts[r]
-        if row_len[r] > fit:
-            hi = starts[r + 1]
-            step = max(1, TILE_CELLS // int(row_len[r]))
-            for s in range(0, n_seeds, step):
-                out[r, s : s + step] = _race_tile(
-                    ids[lo:hi], neg_masses[lo:hi], starts[:1], row_len[r : r + 1], seeds[s : s + step]
+    distinct = np.unique(ids)
+    repeats = distinct.shape[0] < ids.shape[0]
+    if repeats:
+        inv = np.searchsorted(distinct, ids)
+    block = max(1, _TABLE_CELLS // distinct.shape[0]) if repeats else max(n_seeds, 1)
+    table = None
+
+    def log_u(lo: int, hi: int, s: int, e: int) -> np.ndarray:
+        """A fresh (hi - lo, e - s) matrix of log(u) for elements lo:hi under seeds s:e.
+
+        With repeated ids it is gathered from the table of the block at ``s0``.
+        """
+        if table is None:
+            return np.log(uniform_hash_vec(ids[lo:hi, None], seeds[None, s:e]))
+        return np.take(table[:, s - s0 : e - s0], inv[lo:hi], axis=0)
+
+    for s0 in range(0, n_seeds, block):
+        s1 = min(s0 + block, n_seeds)
+        if repeats:
+            table = np.log(uniform_hash_vec(distinct[:, None], seeds[None, s0:s1]))
+        fit = TILE_CELLS // (s1 - s0)  # elements a tile holds at full block width
+        r = 0
+        while r < n_rows:
+            lo = starts[r]
+            if row_len[r] > fit:
+                hi = starts[r + 1]
+                step = max(1, TILE_CELLS // int(row_len[r]))
+                for s in range(s0, s1, step):
+                    e = min(s + step, s1)
+                    out[r, s:e] = _race_tile(
+                        ids[lo:hi], neg_masses[lo:hi], starts[:1], row_len[r : r + 1], log_u(lo, hi, s, e)
+                    )
+                r += 1
+            else:
+                end = int(np.searchsorted(starts, lo + fit, side="right")) - 1
+                hi = starts[end]
+                out[r:end, s0:s1] = _race_tile(
+                    ids[lo:hi], neg_masses[lo:hi], starts[r:end] - lo, row_len[r:end], log_u(lo, hi, s0, s1)
                 )
-            r += 1
-        else:
-            end = int(np.searchsorted(starts, lo + fit, side="right")) - 1
-            hi = starts[end]
-            out[r:end] = _race_tile(
-                ids[lo:hi], neg_masses[lo:hi], starts[r:end] - lo, row_len[r:end], seeds
-            )
-            r = end
+                r = end
     return out
 
 
@@ -107,15 +137,16 @@ _NO_ID = np.uint64(MAX_ID)
 
 
 def _race_tile(
-    ids: np.ndarray, neg_masses: np.ndarray, offsets: np.ndarray, lens: np.ndarray, seeds: np.ndarray
+    ids: np.ndarray, neg_masses: np.ndarray, offsets: np.ndarray, lens: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
     """Winners of the rows of one tile; row r starts at ``offsets[r]`` and has ``lens[r]`` entries.
 
-    Keys are ``log(u) / -mass``, bit for bit ``-log(u) / mass``.  A row's
-    winner is its smallest id whose key equals the row minimum: ids increase
-    along a row, so that is the first such position, as with ``np.argmin``.
+    ``keys`` holds ``log(u)`` of every (element, seed) cell of the tile and
+    becomes the keys ``log(u) / -mass``, bit for bit ``-log(u) / mass``.  A
+    row's winner is its smallest id whose key equals the row minimum: ids
+    increase along a row, so that is the first such position, as with
+    ``np.argmin``.
     """
-    keys = np.log(uniform_hash_vec(ids[:, None], seeds[None, :]))
     keys /= neg_masses[:, None]
     lows = np.minimum.reduceat(keys, offsets, axis=0)
     lows = np.repeat(lows, lens, axis=0)

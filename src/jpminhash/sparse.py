@@ -49,13 +49,31 @@ class SparseVector:
     def _set(self, ids: np.ndarray, masses: np.ndarray) -> None:
         if (ids[1:] <= ids[:-1]).any():  # not np.diff: uint64 differences wrap
             raise ValueError("element ids must be strictly increasing")
-        bad = ~(np.isfinite(masses) & (masses > 0.0))
-        if bad.any():
-            raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
+        _check_masses(ids, masses)
         ids.setflags(write=False)
         masses.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "masses", masses)
+
+    @classmethod
+    def _rows(cls, ids: np.ndarray, masses: np.ndarray, bounds) -> list:
+        """Row r of a packed batch, ``[bounds[r], bounds[r + 1])``, as a vector of this class.
+
+        The trusted constructor: each vector is a read-only view of the
+        batch, which must already be in this class's form (ids strictly
+        increasing within a row, masses positive and finite, for a
+        distribution summing to one).  Nothing is sorted, checked or summed.
+        """
+        ids.setflags(write=False)
+        masses.setflags(write=False)
+        bounds = np.asarray(bounds).tolist()
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            v = cls.__new__(cls)
+            object.__setattr__(v, "ids", ids[lo:hi])
+            object.__setattr__(v, "masses", masses[lo:hi])
+            out.append(v)
+        return out
 
     @classmethod
     def from_arrays(cls, ids, masses) -> "SparseVector":
@@ -124,6 +142,20 @@ def _arrays(pairs: Iterable[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]
     return _id_array([i for i, _ in pairs]), np.array([m for _, m in pairs], dtype=np.float64)
 
 
+def _check_masses(ids: np.ndarray, masses: np.ndarray) -> None:
+    """Raise for the first mass that is not positive and finite."""
+    bad = ~(np.isfinite(masses) & (masses > 0.0))
+    if bad.any():
+        raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
+
+
+def _kept_bounds(keep: np.ndarray, bounds) -> np.ndarray:
+    """Row bounds of a packed batch after only its entries where ``keep`` holds are kept."""
+    counts = np.zeros(keep.shape[0] + 1, dtype=np.intp)
+    np.cumsum(keep, out=counts[1:])
+    return counts[bounds]
+
+
 def _id_array(ids) -> np.ndarray:
     """Ids as a uint64 array; an id outside the unsigned 64-bit range raises, never wraps."""
     if isinstance(ids, np.ndarray) and ids.dtype == np.uint64:
@@ -160,6 +192,21 @@ def _scale_rows(masses: np.ndarray, starts, row_len) -> np.ndarray:
     return np.ldexp(masses, -np.repeat(exps, row_len))
 
 
+def _normalize_rows(masses: np.ndarray, bounds) -> np.ndarray:
+    """Each row ``[bounds[r], bounds[r + 1])`` divided by its total, as :func:`normalize` divides.
+
+    A row is scaled with :func:`_scale_rows` and divided by the
+    ``math.fsum`` of its scaled masses.  No row may be empty or all zero;
+    zeros inside a row stay zero and change no other mass.
+    """
+    bounds = np.asarray(bounds)
+    row_len = np.diff(bounds)
+    masses = _scale_rows(masses, bounds[:-1], row_len)
+    ends = bounds.tolist()
+    totals = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])]
+    return masses / np.repeat(totals, row_len)
+
+
 def normalize(v: SparseVector) -> SparseDistribution:
     """Scale a nonnegative vector to total mass one.
 
@@ -168,8 +215,7 @@ def normalize(v: SparseVector) -> SparseDistribution:
     """
     if not len(v):
         raise ValueError("degenerate distribution")
-    masses = _scale_rows(v.masses, [0], [len(v)])
-    return SparseDistribution.from_arrays(v.ids, masses / math.fsum(masses.tolist()))
+    return SparseDistribution.from_arrays(v.ids, _normalize_rows(v.masses, [0, len(v)]))
 
 
 @dataclass(frozen=True)

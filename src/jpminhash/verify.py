@@ -48,8 +48,11 @@ REF_JW = 7.0 / 13.0
 REF_TV = 0.3
 _REF_TERMS = (0.2, 4.0 / 13.0, 0.1)
 
-# rand_dist(rng, ids): normalized exponential masses on an id array.
-rand_dist = harness._exp_dist
+
+def rand_dist(rng: np.random.Generator, ids: np.ndarray) -> SparseDistribution:
+    """Normalized exponential masses on an id array."""
+    masses = np.maximum(rng.exponential(size=ids.shape[0]), 1e-12)  # draws of exactly 0 are void
+    return normalize(SparseVector.from_arrays(ids, masses))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,28 @@ CORPUS = [
     {"id": "d6", "weights": {"root": 2.0, "stem": 2.0, "leaf": 0.0}},
 ]
 QUERY_DOC = [{"id": "q", "text": "apple banana cherry"}]
+# sim --pairs scores consecutive documents: shared, tied, disjoint and identical
+# supports, and weights near the ends of the float range
+PAIRS = [
+    {"id": "p1a", "text": "apple banana cherry apple"},
+    {"id": "p1b", "text": "Apple banana date, banana!"},
+    {"id": "p2a", "weights": {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}},
+    {"id": "p2b", "weights": {"b": 4.0, "c": 3.0, "d": 2.0, "e": 1.0}},
+    {"id": "p3a", "weights": {"x": 1e-300, "y": 3e-300}},
+    {"id": "p3b", "weights": {"y": 1e-300, "x": 2e-300, "z": 5e-301}},
+    {"id": "p4a", "text": "the quick brown fox jumps over the lazy dog"},
+    {"id": "p4b", "text": "the lazy dog sleeps under the quick brown tree"},
+    {"id": "p5a", "weights": {"m": 1e300, "n": 1e300, "o": 5e299}},
+    {"id": "p5b", "weights": {"n": 2.0, "o": 2.0, "m": 1.0}},
+    {"id": "p6a", "text": "Zürich café naïve"},
+    {"id": "p6b", "text": "naïve café Zürich"},
+    {"id": "p7a", "text": "xylem phloem"},
+    {"id": "p7b", "text": "root stem leaf"},
+]
 
 GOLDEN = {
     "sim": "958918d4443e11d49b6c696a16b51283cbfa8314232b0f6d498b1c8c7e20dae0",
+    "sim-pairs": "553aa04e270f67c3325451de04bf77f359f9d2353acd0e064674b380e1b03b4a",
     "hash": "c2f30b4adba579c2fb6a6da7a58de19f4c9ffd5adac4df1bab2abc59ac85c761",
     "index": "c969daea974dad427f3c12ca3dfef210ba19341d7ea2843c444055df07c93aba",
     "query": "e227ef77b6332a77c091dbb47ba9fc23b677388e739cf61a965e81bbece544e2",
@@ -39,9 +58,12 @@ def _write_jsonl(path, records):
 def _artifact(name, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     _write_jsonl(corpus, CORPUS)
+    pairs = tmp_path / "pairs.jsonl"
+    _write_jsonl(pairs, PAIRS)
     out = tmp_path / "out"
     argv = {
         "sim": ["sim", "--synthetic", "25", "--seed", "3"],
+        "sim-pairs": ["sim", "--pairs", str(pairs)],
         "hash": ["hash", "--corpus", str(corpus), "--k", "8", "--seed", "5"],
         "index": ["index", "--corpus", str(corpus), "--a", "2", "--o", "4", "--seed", "7"],
         "eval-analytic": [

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from jpminhash.harness import (
     _tokenize,
 )
 from jpminhash.minhash import signature
-from jpminhash.similarity import jp, jsd, jw, total_variation
+from jpminhash.similarity import jp, jsd, jw, similarity_report, total_variation
 from jpminhash.sparse import SparseDistribution, SparseVector, normalize
-from jpminhash.verify import REF_JP, REF_X, REF_Y, sigma_band
+from jpminhash.verify import REF_JP, REF_X, REF_Y, rand_dist, sigma_band
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -77,6 +78,22 @@ def test_one_pass_ingest_matches_per_record_normalize():
     # dividing by a negative total must not turn negative weights positive
     with pytest.raises(ValueError, match="positive"):
         corpus_from_records([{"id": "n", "weights": {"x": -1.0, "y": -2.0}}])
+
+
+def test_ingest_checks_the_batch_with_the_per_record_message():
+    records = [
+        {"id": "ok", "weights": {"a": 1.0}},
+        {"id": "inf", "weights": {"y": 1.0, "x": math.inf}},  # x becomes inf / inf
+        {"id": "nan", "weights": {"z": math.nan}},
+    ]
+    want = f"mass for element {token_element_id('x')} must be positive and finite"
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=want):
+        corpus_from_records(records)
+    # a mass far below its document's largest rounds to zero and drops, as in normalize
+    (doc,), _ = corpus_from_records([{"id": "t", "weights": {"a": 1e300, "b": 1e-300}}])
+    assert doc.dist.entries == ((token_element_id("a"), 1.0),)
+    assert doc.dist == normalize(SparseVector.from_pairs([(token_element_id("a"), 1e300),
+                                                          (token_element_id("b"), 1e-300)]))
 
 
 def test_ingest_skips_empty_documents():
@@ -143,9 +160,6 @@ def test_synth_pairs_corpus_mode():
 
 
 def test_mix_endpoints():
-    from jpminhash.verify import rand_dist
-    from jpminhash.harness import _mix
-
     rng = np.random.default_rng(40)
     z = rand_dist(rng, np.arange(12, dtype=np.uint64))
     n1 = rand_dist(rng, np.arange(100, 112, dtype=np.uint64))
@@ -159,6 +173,66 @@ def test_mix_endpoints():
     x1, y1 = _mix(z, n1, 1.0), _mix(z, n2, 1.0)
     assert jp(x1, y1) == 0.0
     assert jw(x1, y1) == 0.0
+
+
+# The per-pair synthesis that synth_pairs replaced, kept as its reference: the
+# same draws in the same order, each vector built and normalized on its own.
+
+def _mix(z: SparseDistribution, noise: SparseDistribution, t: float) -> SparseDistribution:
+    ids = np.concatenate([z.ids, noise.ids])
+    masses = np.concatenate([(1.0 - t) * z.masses, t * noise.masses])
+    return normalize(SparseVector.from_arrays(ids, masses))
+
+
+def _sweep_pairs(count: int, seed: int) -> list[tuple[str, str, SparseDistribution, SparseDistribution]]:
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        dim = int(rng.integers(10, 201))
+        z = rand_dist(rng, np.arange(dim, dtype=np.uint64))
+        t = float(rng.uniform())
+        off1 = int(rng.integers(0, 2 * dim))
+        off2 = int(rng.integers(0, 2 * dim))
+        n1 = rand_dist(rng, np.arange(off1, off1 + dim, dtype=np.uint64))
+        n2 = rand_dist(rng, np.arange(off2, off2 + dim, dtype=np.uint64))
+        pairs.append((f"sweep-{k}-a", f"sweep-{k}-b", _mix(z, n1, t), _mix(z, n2, t)))
+    return pairs
+
+
+def _assert_scores_exact(score: PairScore, x: SparseDistribution, y: SparseDistribution) -> None:
+    got = (score.jp, score.jw, score.support_jaccard, score.tv, score.jsd)
+    assert got == astuple(similarity_report(x, y))
+
+
+@pytest.mark.parametrize("count,seed", [(5000, 3), (300, 6)])
+def test_synth_pairs_equal_per_pair_synthesis(count, seed):
+    sample = synth_pairs(count, seed)
+    want = _sweep_pairs(count, seed)
+    assert [(s.id_a, s.id_b) for s in sample.scores] == [(a, b) for a, b, _, _ in want]
+    assert list(sample.dists) == [i for a, b, _, _ in want for i in (a, b)]
+    for score, (id_a, id_b, x, y) in zip(sample.scores, want):
+        for got, ref in ((sample.dists[id_a], x), (sample.dists[id_b], y)):
+            assert type(got) is SparseDistribution
+            assert got.ids.dtype == ref.ids.dtype and np.array_equal(got.ids, ref.ids)
+            assert np.array_equal(got.masses, ref.masses)
+            assert not got.ids.flags.writeable and not got.masses.flags.writeable
+        _assert_scores_exact(score, x, y)
+
+
+def test_synth_pairs_corpus_mode_equal_per_pair_scoring():
+    rng = np.random.default_rng(41)
+    words = [f"w{i}" for i in range(300)]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 400)))) for _ in range(40)]
+    corpus, _ = ingest_text([(f"d{i}", text) for i, text in enumerate(texts)])
+    sample = synth_pairs(500, seed=42, mode="corpus", corpus=corpus)
+    rng = np.random.default_rng(42)
+    for score in sample.scores:
+        i = int(rng.integers(0, len(corpus)))
+        j = int(rng.integers(0, len(corpus) - 1))
+        a, b = corpus[i], corpus[j + (j >= i)]
+        assert (score.id_a, score.id_b) == (a.doc_id, b.doc_id)
+        _assert_scores_exact(score, a.dist, b.dist)
+    assert sample.dists == {d.doc_id: d.dist for d in corpus}
 
 
 # --- amplification ----------------------------------------------------------------

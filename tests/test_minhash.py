@@ -129,6 +129,19 @@ def test_batch_signatures_match_single():
     assert mat[-5].tolist() == [pminhash(vecs[-5], derive_seed(4, j)) for j in range(64)]
 
 
+def test_batch_signatures_table_of_repeated_ids():
+    # ids repeat across rows, so the batch hashes each distinct id once; 3,000
+    # distinct ids at k=64 split the seeds into two table blocks, and the
+    # 3,000- and 1,800-element rows are raced alone in sub-blocks of each
+    rng = np.random.default_rng(22)
+    sizes = (1, 3000, 7, 1800, 1, 300)
+    vecs = [rand_dist(rng, np.sort(rng.choice(3000, size=n, replace=False)).astype(np.uint64)) for n in sizes]
+    assert len(set().union(*(v.support for v in vecs))) == 3000
+    mat = batch_signatures(vecs, base_seed=5, k=64)
+    for r, v in enumerate(vecs):
+        assert tuple(int(s) for s in mat[r]) == signature(v, 5, 64).samples  # a row alone repeats no id
+
+
 def test_batch_signatures_empty_inputs():
     empty = batch_signatures([], base_seed=0, k=4)
     assert empty.shape == (0, 4) and empty.dtype == np.uint64

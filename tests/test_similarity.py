@@ -5,12 +5,17 @@ double sum (or the closed-form definitions) directly, independently of the
 sorted fast path.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpminhash.similarity import (
+    _aligned_rows,
+    _jp_terms,
+    _report_rows,
     adversarial_z,
     bound_curves,
     construct_lower_pair,
@@ -352,6 +357,62 @@ def test_similarity_report_consistent_with_parts():
         assert rep.tv == pytest.approx(total_variation(x, y), abs=1e-12)
         assert rep.jsd == pytest.approx(jsd(x, y), abs=1e-12)
         assert rep.support_jaccard == pytest.approx(support_jaccard(x, y), abs=1e-12)
+
+
+def _report_per_pair(x, y) -> tuple[float, float, float, float, float]:
+    """(jp, jw, support Jaccard, tv, jsd) as the per-pair scorer computed them before row batches."""
+    ids = np.union1d(x.ids, y.ids)
+    ux, uy = np.zeros(ids.shape[0]), np.zeros(ids.shape[0])
+    ux[np.searchsorted(ids, x.ids)] = x.masses
+    uy[np.searchsorted(ids, y.ids)] = y.masses
+    with np.errstate(divide="ignore"):
+        ratio = ux / uy
+    order = np.lexsort((ids, -ratio))
+    sx, sy = ux[order], uy[order]
+    cx, cy = np.cumsum(sx), np.cumsum(sy)
+    inter = (sx > 0.0) & (sy > 0.0)
+    terms_sorted = np.zeros(ids.shape[0])
+    terms_sorted[inter] = 1.0 / (cx[inter] / sx[inter] + (cy[-1] - cy[inter]) / sy[inter])
+    terms = np.empty_like(terms_sorted)
+    terms[order] = terms_sorted
+    m = 0.5 * (ux + uy)
+    acc = 0.0
+    for v in (ux, uy):
+        pos = v > 0.0
+        acc += 0.5 * float((v[pos] * np.log2(v[pos] / m[pos])).sum())
+    return (
+        float(terms.sum()),
+        float(np.minimum(ux, uy).sum() / np.maximum(ux, uy).sum()),
+        float(((ux > 0.0) & (uy > 0.0)).sum()) / ids.shape[0],
+        float(0.5 * np.abs(ux - uy).sum()),
+        min(1.0, max(0.0, acc)),
+    )
+
+
+def test_row_batch_equals_each_pair_exactly():
+    # Union lengths 1..300 cross the 8- and 128-element block edges of numpy's
+    # pairwise sum; masses of 1, 2 or 3 units tie many ratios.
+    rng = np.random.default_rng(24)
+    xs, ys = [], []
+    for n in range(1, 301):
+        ids = np.sort(rng.choice(5 * n, size=n, replace=False)).astype(np.uint64)
+        side = rng.integers(0, 3, size=n)  # 0: both, 1: x only, 2: y only
+        side[rng.integers(0, n)] = 0
+        masses = rng.integers(1, 4, size=(2, n)).astype(float) * rng.choice([1.0, 1e-3], size=(2, n))
+        xs.append(normalize(SparseVector.from_arrays(ids[side != 2], masses[0][side != 2])))
+        ys.append(normalize(SparseVector.from_arrays(ids[side != 1], masses[1][side != 1])))
+    ux, uy, bounds = _aligned_rows(xs, ys)
+    assert np.diff(bounds).tolist() == list(range(1, 301))
+    rows = list(zip(*(v.tolist() for v in _report_rows(ux, uy, bounds))))
+    for x, y, row in zip(xs, ys, rows):
+        assert row == _report_per_pair(x, y)
+        assert row == astuple(similarity_report(x, y))
+    # the same rows in another order, so each sits in another padded block
+    back = _report_rows(*_aligned_rows(xs[::-1], ys[::-1]))
+    assert list(zip(*(v.tolist() for v in back))) == rows[::-1]
+    assert _jp_terms(ux, uy, bounds).tolist() == [
+        t for x, y in zip(xs, ys) for _, t in jp_terms(x, y).terms
+    ]
 
 
 def test_coarsening_never_decreases_jp():

@@ -34,17 +34,21 @@ def test_tracer_counts_each_hash_once(monkeypatch, tmp_path):
     corpus, query = tmp_path / "corpus.jsonl", tmp_path / "query.jsonl"
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
     query.write_text(json.dumps({"id": "q", "text": "x y v"}) + "\n")
-    entries = sum(len(d.dist) for d in corpus_from_records(records)[0])
+    docs = corpus_from_records(records)[0]
+    entries = sum(len(d.dist) for d in docs)
+    distinct = len(set().union(*(d.dist.support for d in docs)))
+    assert (entries, distinct) == (8, 7)  # "y" is in two documents
     sigs, index = tmp_path / "sigs.jsonl", tmp_path / "index.jsonl"
     assert cli.run(["index", "--corpus", str(corpus), "--a", "2", "--o", "3", "--out", str(index)]) == 0
-    for argv, hashes in (
-        (["hash", "--corpus", str(corpus), "--k", "8", "--out", str(sigs)], entries * 8),
-        (["query", "--index", str(index), "--doc", str(query)], 3 * 6),
+    # the sampler counts every (entry, seed) cell; an id in two rows is hashed once
+    for argv, hashes, hashed in (
+        (["hash", "--corpus", str(corpus), "--k", "8", "--out", str(sigs)], entries * 8, distinct * 8),
+        (["query", "--index", str(index), "--doc", str(query)], 3 * 6, 3 * 6),
     ):
         with tracer.Tracer() as t:
             assert cli.run(argv) == 0
         assert t.counts["minhash.hashes"] == hashes
-        assert t.counts["hashing.uniform_hash_vec.elements"] == hashes
+        assert t.counts["hashing.uniform_hash_vec.elements"] == hashed
 
 
 def test_tracer_counts_the_buckets_of_a_read_index(monkeypatch, tmp_path):
