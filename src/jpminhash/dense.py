@@ -184,8 +184,8 @@ def _unit_scaled(m: Measure) -> tuple[Measure, int]:
     its bound does not underflow when ``m`` is tiny against its proposal.
     """
     if isinstance(m, FiniteMeasure):
-        return FiniteMeasure(_scale_rows(m.masses, [0], [len(m)])), math.frexp(float(m.masses.max()))[1]
-    values = _scale_rows(m.values, [0], [m.values.shape[0]])
+        return FiniteMeasure(_scale_rows(m.masses, [0, len(m)])), math.frexp(float(m.masses.max()))[1]
+    values = _scale_rows(m.values, [0, m.values.shape[0]])
     return PiecewiseDensity(m.breakpoints, values), math.frexp(float(m.values.max()))[1]
 
 

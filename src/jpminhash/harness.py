@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hashing import derive_seed, derive_seed_vec, fin64, fin64_vec
-from .minhash import batch_signatures, pminhash_many, signature
+from .hashing import derive_seed_vec, fin64, fin64_vec
+from .minhash import _PackedVectors, batch_signatures, signature
 # similarity_report and normalize are not called here; perfbench/tracer.py
 # patches both names in this module, so they must exist here.
 from .similarity import _aligned_rows, _report_rows, similarity_report  # noqa: F401
@@ -498,17 +498,12 @@ def empirical_retrieval_runs(
     if not positives.any():
         raise ValueError("degenerate task")
     weights = np.array([s.weight for s in pairs.scores])
-    n = len(pairs.scores)
-    # both sides in one batch: an id shared by any two documents is hashed once
-    dists = [pairs.dists[s.id_a] for s in pairs.scores] + [pairs.dists[s.id_b] for s in pairs.scores]
-    runs: list[tuple[float, float]] = []
-    for r in range(replicates):
-        scheme = BandingScheme(a, o, base_seed=derive_seed(seed, r))
-        samples = batch_signatures(dists, scheme.base_seed, scheme.k)
-        keys = _band_keys_matrix(samples, a, o, scheme.base_seed)
-        retrieved = (keys[:n] == keys[n:]).any(axis=1)
-        runs.append(_weighted_pr(weights, positives, retrieved.astype(float)))
-    return runs
+    # both sides in one batch, packed once: an id shared by any two documents is hashed once
+    packed = _PackedVectors(
+        [pairs.dists[s.id_a] for s in pairs.scores] + [pairs.dists[s.id_b] for s in pairs.scores]
+    )
+    hits = _band_hits(packed, a, o, derive_seed_vec(seed, np.arange(replicates)))
+    return [_weighted_pr(weights, positives, retrieved.astype(float)) for retrieved in hits]
 
 
 def banded_collision_frequency(
@@ -517,15 +512,32 @@ def banded_collision_frequency(
     """Fraction of replicate seeds on which x and y share at least one band key."""
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    hits = _band_hits(_PackedVectors([x, y]), a, o, derive_seed_vec(seed, np.arange(replicates)))
+    return float(hits[:, 0].mean())
+
+
+# (row, signature position) samples that _band_hits keeps at a time: 8 MB of uint64
+_BAND_CELLS = 1 << 20
+
+
+def _band_hits(packed: _PackedVectors, a: int, o: int, rep_seeds: np.ndarray) -> np.ndarray:
+    """(replicates, n) bool matrix: whether rows i and n + i of a 2n-row batch share a band key.
+
+    Replicate r signs every row under the seeds ``derive(rep_seeds[r], j)``
+    and bands under ``(a, o, rep_seeds[r])``.  Replicates are raced
+    together, as many at a time as keep their samples within ``_BAND_CELLS``.
+    """
     k = BandingScheme(a, o).k  # validates a, o
-    rep_seeds = derive_seed_vec(seed, np.arange(replicates))
-    # all signature seeds at once: row r holds derive(rep_seeds[r], 0..k-1)
-    sig_seeds = derive_seed_vec(rep_seeds[:, None], np.arange(k)).reshape(-1)
-    kx, ky = (
-        _band_keys_matrix(pminhash_many(v, sig_seeds).reshape(replicates, k), a, o, rep_seeds)
-        for v in (x, y)
-    )
-    return float((kx == ky).any(axis=1).mean())
+    n_rows = packed.row_len.shape[0]
+    step = max(1, _BAND_CELLS // (n_rows * k))
+    hits = []
+    for reps in np.split(rep_seeds, range(step, rep_seeds.shape[0], step)):
+        samples = packed.sample(derive_seed_vec(reps[:, None], np.arange(k)).reshape(-1))
+        # row d * len(reps) + j of the reshaped samples is row d under replicate j
+        keys = _band_keys_matrix(samples.reshape(-1, k), a, o, np.tile(reps, n_rows))
+        keys = keys.reshape(2, n_rows // 2, reps.shape[0], o)
+        hits.append((keys[0] == keys[1]).any(axis=2).T)
+    return np.concatenate(hits)
 
 
 @dataclass(frozen=True)

@@ -48,101 +48,94 @@ def _write_text(path: str | Path, lines: Iterable[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    """Non-comment, non-empty lines with their 1-based line numbers."""
+def _write_csv(path: str | Path, columns: str, comments: Sequence[str], rows: Iterable[str]) -> None:
+    """The version header, a ``#`` line per comment, the column line, then the rows."""
+    _write_text(path, [VERSION_HEADER, *(f"# {c}" for c in comments), columns, *rows])
+
+
+def _data_lines(path: str | Path, text: str | None = None) -> list[tuple[int, str]]:
+    """Non-comment, non-empty lines, stripped, with their 1-based line numbers.
+
+    ``text`` is the file's content when the caller has read it already.
+    """
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
+    ]
+
+
+def _read_csv(path: str | Path, kind: str, columns: str, parse) -> list:
+    """The rows of a ``kind`` CSV file with header ``columns``, each one ``parse(*fields)``.
+
+    A wrong header, a row with the wrong number of fields and a ValueError
+    from ``parse`` raise a ValueError naming the path, and the line for a row.
+    """
+    rows = _data_lines(path)
+    if not rows or rows[0][1] != columns:
+        raise ValueError(f"{path}: expected {kind} CSV columns {columns!r}")
+    n_fields = columns.count(",") + 1
     out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
+    for lineno, line in rows[1:]:
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        try:
+            out.append(parse(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
-def write_pair_csv(path: str | Path, pairs: PairSample, comments: Sequence[str] = ()) -> None:
-    lines = [VERSION_HEADER]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(PAIR_COLUMNS)
+def _check_pair_ids(pairs: PairSample) -> None:
+    """Raise for an id that a pair CSV row would not read back as written.
+
+    A comma splits a field and a line break splits a row; the reader strips
+    each line and skips it as a comment if it starts with ``#``, which is
+    where ``idA`` starts.
+    """
     for s in pairs.scores:
-        lines.append(
-            ",".join(
-                (
-                    s.id_a,
-                    s.id_b,
-                    fmt_float(s.jp),
-                    fmt_float(s.jw),
-                    fmt_float(s.jsd),
-                    fmt_float(s.tv),
-                    fmt_float(s.support_jaccard),
-                    fmt_float(s.weight),
-                )
-            )
-        )
-    _write_text(path, lines)
+        for pair_id in (s.id_a, s.id_b):
+            if "," in pair_id or "".join(pair_id.splitlines()) != pair_id:
+                raise ValueError(f"pair id {pair_id!r} contains a comma or a line break")
+        if s.id_a.startswith("#") or s.id_a[:1].isspace():
+            raise ValueError(f"pair id {s.id_a!r} starts with '#' or whitespace")
+
+
+def write_pair_csv(path: str | Path, pairs: PairSample, comments: Sequence[str] = ()) -> None:
+    """Scored pairs as a pair CSV; an id it could not read back raises before anything is written."""
+    _check_pair_ids(pairs)
+    rows = (
+        ",".join((s.id_a, s.id_b, *map(fmt_float, (s.jp, s.jw, s.jsd, s.tv, s.support_jaccard, s.weight))))
+        for s in pairs.scores
+    )
+    _write_csv(path, PAIR_COLUMNS, comments, rows)
 
 
 def read_pair_csv(path: str | Path) -> PairSample:
-    rows = _data_lines(path)
-    if not rows or rows[0][1] != PAIR_COLUMNS:
-        raise ValueError(f"{path}: expected pair CSV columns {PAIR_COLUMNS!r}")
-    scores = []
-    for lineno, line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            scores.append(
-                PairScore(
-                    id_a=parts[0],
-                    id_b=parts[1],
-                    jp=float(parts[2]),
-                    jw=float(parts[3]),
-                    jsd=float(parts[4]),
-                    tv=float(parts[5]),
-                    support_jaccard=float(parts[6]),
-                    weight=float(parts[7]),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return PairSample(tuple(scores))
+    return PairSample(tuple(_read_csv(path, "pair", PAIR_COLUMNS, _pair_score)))
+
+
+def _pair_score(id_a: str, id_b: str, *values: str) -> PairScore:
+    return PairScore(id_a, id_b, *map(float, values))
 
 
 def write_pr_csv(path: str | Path, points: Sequence[PRPoint], comments: Sequence[str] = ()) -> None:
-    lines = [VERSION_HEADER]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(PR_COLUMNS)
-    for p in points:
-        lines.append(
-            f"{p.method},{p.a},{p.o},{p.cost},{fmt_float(p.precision)},{fmt_float(p.recall)},{p.mode}"
-        )
-    _write_text(path, lines)
+    rows = (
+        f"{p.method},{p.a},{p.o},{p.cost},{fmt_float(p.precision)},{fmt_float(p.recall)},{p.mode}"
+        for p in points
+    )
+    _write_csv(path, PR_COLUMNS, comments, rows)
 
 
 def read_pr_csv(path: str | Path) -> list[PRPoint]:
-    rows = _data_lines(path)
-    if not rows or rows[0][1] != PR_COLUMNS:
-        raise ValueError(f"{path}: expected PR CSV columns {PR_COLUMNS!r}")
-    points = []
-    for lineno, line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            points.append(
-                PRPoint(
-                    method=parts[0],
-                    a=int(parts[1]),
-                    o=int(parts[2]),
-                    cost=int(parts[3]),
-                    precision=float(parts[4]),
-                    recall=float(parts[5]),
-                    mode=parts[6],
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return points
+    return _read_csv(path, "PR", PR_COLUMNS, _pr_point)
+
+
+def _pr_point(method: str, a: str, o: str, cost: str, precision: str, recall: str, mode: str) -> PRPoint:
+    return PRPoint(method, int(a), int(o), int(cost), float(precision), float(recall), mode)
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -155,12 +148,7 @@ def _json_lines(path: str | Path, text: str | None = None) -> Iterator[tuple[int
     Each line is decoded by one call to the decoder's scanner, which is what
     ``json.loads`` runs after its own per-call checks.
     """
-    if text is None:
-        text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path, text):
         try:
             obj, end = _scan_json(line, 0)
         except StopIteration:

@@ -6,12 +6,14 @@ Because the uniforms depend only on (element id, seed), two distributions
 hashed with the same seed collide with probability equal to their ``jp``
 similarity, and the marginal law of the sample is the distribution itself.
 
-All vectorized sparse sampling runs through one kernel, :func:`_race`.  It
-takes a packed batch (the rows' ids and masses end to end, plus each row's
-length) and races it in tiles of about ``TILE_CELLS`` (element, seed)
-cells, so its temporaries stay in cache whatever the batch size or seed
-count.  :func:`pminhash_many` races one row and :func:`batch_signatures` a
-whole batch; the scalar :func:`pminhash` is the loop form the tests compare
+All vectorized sparse sampling runs through one kernel, :func:`_race`, over
+one packed form, :class:`_PackedVectors`: the rows' ids and scaled masses
+end to end, their bounds, and each id's index among the batch's distinct
+ids when ids repeat.  A batch is packed once and can be raced any number of
+times; the race runs in tiles of about ``TILE_CELLS`` (element, seed) cells,
+so its temporaries stay in cache whatever the batch size or seed count.
+:func:`pminhash_many` races one row and :func:`batch_signatures` a whole
+batch; the scalar :func:`pminhash` is the loop form the tests compare
 against.
 
 Also provided: k-hash signatures with derived per-position seeds, a
@@ -53,7 +55,7 @@ def pminhash(x: SparseVector, seed: int) -> int:
         raise ValueError("cannot hash an empty vector")
     best_key = math.inf
     best_id = -1
-    for eid, mass in zip(x.ids.tolist(), _scale_rows(x.masses, [0], [len(x)]).tolist()):
+    for eid, mass in zip(x.ids.tolist(), _scale_rows(x.masses, [0, len(x)]).tolist()):
         key = -math.log(uniform_hash(eid, seed)) / mass
         if key < best_key:  # strict: first (= smallest) id wins ties
             best_key = key
@@ -65,70 +67,47 @@ def pminhash(x: SparseVector, seed: int) -> int:
 _TABLE_CELLS = 4 * TILE_CELLS
 
 
-def _race(ids: np.ndarray, masses: np.ndarray, row_len, seeds) -> np.ndarray:
+def _race(packed: "_PackedVectors", seeds) -> np.ndarray:
     """(n_rows, n_seeds) matrix: the :func:`pminhash` sample of every row under every seed.
 
-    ``ids`` and ``masses`` hold the rows end to end, row r taking the next
-    ``row_len[r]`` entries with its ids strictly increasing.  Consecutive
-    rows are raced together while their lengths sum to at most
-    ``TILE_CELLS // n_seeds``; a row longer than that alone is raced in
-    blocks of ``TILE_CELLS // row_len`` seeds.
+    The batch is raced in tiles of about ``TILE_CELLS`` (element, seed)
+    cells.  A tile's rows are consecutive rows whose lengths sum to at most
+    ``TILE_CELLS // width`` at the full seed width, or one longer row alone,
+    which is raced in steps of ``TILE_CELLS // row_len`` seeds.
 
-    When an id occurs more than once in the batch, each distinct id is
-    hashed once per seed: ``log(u)`` of (distinct id, seed) is tabled for a
-    block of at most ``_TABLE_CELLS // n_distinct`` seeds at a time, and the
-    tiles of that block gather their rows from the table.
+    When an id occurs more than once in the batch (``packed.inv`` is set),
+    each distinct id is hashed once per seed: ``log(u)`` of (distinct id,
+    seed) is tabled for a block of at most ``_TABLE_CELLS // n_distinct``
+    seeds at a time, and the tiles of that block gather their rows from the
+    table.  Otherwise each tile hashes its own cells.
     """
-    row_len = np.asarray(row_len, dtype=np.intp)
-    # reduceat would give an empty row the next row's element, with no error
-    if (row_len == 0).any():
-        raise ValueError("cannot hash an empty vector")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    n_rows, n_seeds = row_len.shape[0], seeds.shape[0]
-    starts = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(row_len, out=starts[1:])
-    neg_masses = -_scale_rows(masses, starts[:-1], row_len)
+    ids, bounds, inv = packed.ids, packed.bounds, packed.inv
+    n_rows, n_seeds = packed.row_len.shape[0], seeds.shape[0]
     out = np.empty((n_rows, n_seeds), dtype=np.uint64)
-    distinct = np.unique(ids)
-    repeats = distinct.shape[0] < ids.shape[0]
-    if repeats:
-        inv = np.searchsorted(distinct, ids)
-    block = max(1, _TABLE_CELLS // distinct.shape[0]) if repeats else max(n_seeds, 1)
-    table = None
-
-    def log_u(lo: int, hi: int, s: int, e: int) -> np.ndarray:
-        """A fresh (hi - lo, e - s) matrix of log(u) for elements lo:hi under seeds s:e.
-
-        With repeated ids it is gathered from the table of the block at ``s0``.
-        """
-        if table is None:
-            return np.log(uniform_hash_vec(ids[lo:hi, None], seeds[None, s:e]))
-        return np.take(table[:, s - s0 : e - s0], inv[lo:hi], axis=0)
-
-    for s0 in range(0, n_seeds, block):
-        s1 = min(s0 + block, n_seeds)
-        if repeats:
-            table = np.log(uniform_hash_vec(distinct[:, None], seeds[None, s0:s1]))
-        fit = TILE_CELLS // (s1 - s0)  # elements a tile holds at full block width
-        r = 0
-        while r < n_rows:
-            lo = starts[r]
-            if row_len[r] > fit:
-                hi = starts[r + 1]
-                step = max(1, TILE_CELLS // int(row_len[r]))
-                for s in range(s0, s1, step):
-                    e = min(s + step, s1)
-                    out[r, s:e] = _race_tile(
-                        ids[lo:hi], neg_masses[lo:hi], starts[:1], row_len[r : r + 1], log_u(lo, hi, s, e)
-                    )
-                r += 1
-            else:
-                end = int(np.searchsorted(starts, lo + fit, side="right")) - 1
-                hi = starts[end]
-                out[r:end, s0:s1] = _race_tile(
-                    ids[lo:hi], neg_masses[lo:hi], starts[r:end] - lo, row_len[r:end], log_u(lo, hi, s0, s1)
+    width = max(1, n_seeds if inv is None else min(n_seeds, _TABLE_CELLS // packed.distinct.shape[0]))
+    fit = TILE_CELLS // width  # elements a tile holds at full width
+    tiles = []  # (first row, end row, seed step) of each row group
+    r = 0
+    while r < n_rows:
+        end = max(r + 1, int(np.searchsorted(bounds, bounds[r] + fit, side="right")) - 1)
+        tiles.append((r, end, min(width, max(1, TILE_CELLS // int(bounds[end] - bounds[r])))))
+        r = end
+    for s0 in range(0, n_seeds, width):
+        s1 = min(s0 + width, n_seeds)
+        if inv is not None:
+            table = np.log(uniform_hash_vec(packed.distinct[:, None], seeds[None, s0:s1]))
+        for r, end, step in tiles:
+            lo, hi = bounds[r], bounds[end]
+            for s in range(s0, s1, step):
+                e = min(s + step, s1)
+                if inv is None:
+                    keys = np.log(uniform_hash_vec(ids[lo:hi, None], seeds[None, s:e]))
+                else:
+                    keys = np.take(table[:, s - s0 : e - s0], inv[lo:hi], axis=0)
+                out[r:end, s:e] = _race_tile(
+                    ids[lo:hi], packed.neg_masses[lo:hi], bounds[r:end] - lo, packed.row_len[r:end], keys
                 )
-                r = end
     return out
 
 
@@ -155,7 +134,7 @@ def _race_tile(
 
 def pminhash_many(x: SparseVector, seeds) -> np.ndarray:
     """Vectorized :func:`pminhash` over an array of seeds."""
-    return _race(x.ids, x.masses, [len(x)], seeds)[0]
+    return _race(_PackedVectors([x]), seeds)[0]
 
 
 @dataclass(frozen=True)
@@ -183,19 +162,37 @@ def signature(x: SparseVector, base_seed: int, k: int, doc_id: str = "") -> Sign
 
 
 class _PackedVectors:
-    """The vectors of one batch end to end, as :func:`_race` takes them.
+    """The vectors of one batch end to end, in the form :func:`_race` reads.
+
+    A batch is packed once and can be raced under any number of seeds.  Row
+    r is entries ``bounds[r]:bounds[r + 1]`` of ``ids`` and ``neg_masses``,
+    the masses scaled by :func:`_scale_rows` and negated.  When an id occurs
+    more than once in the batch, ``distinct`` holds the sorted distinct ids
+    and ``inv`` each entry's index into them; otherwise ``inv`` is None.
 
     ``perfbench/tracer.py`` counts hashes through ``sample`` and ``row_len``.
     """
 
     def __init__(self, vecs: Sequence[SparseVector]):
-        self.ids = np.concatenate([v.ids for v in vecs])
-        self.masses = np.concatenate([v.masses for v in vecs])
         self.row_len = np.array([len(v) for v in vecs], dtype=np.intp)
+        # reduceat would give an empty row the next row's element, with no error
+        if (self.row_len == 0).any():
+            raise ValueError("cannot hash an empty vector")
+        self.bounds = np.zeros(self.row_len.shape[0] + 1, dtype=np.intp)
+        np.cumsum(self.row_len, out=self.bounds[1:])
+        self.ids = np.concatenate([v.ids for v in vecs])
+        self.neg_masses = -_scale_rows(np.concatenate([v.masses for v in vecs]), self.bounds)
+        self.distinct = self.inv = None
+        if len(vecs) > 1:  # a single vector's ids are strictly increasing
+            ordered = np.sort(self.ids)  # np.unique's hash path is slower on these ids
+            repeats = ordered[1:] == ordered[:-1]
+            if repeats.any():
+                self.distinct = ordered[np.insert(~repeats, 0, True)]
+                self.inv = np.searchsorted(self.distinct, self.ids)
 
     def sample(self, seeds) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""
-        return _race(self.ids, self.masses, self.row_len, seeds)
+        return _race(self, seeds)
 
 
 def batch_signatures(vecs: Sequence[SparseVector], base_seed: int, k: int) -> np.ndarray:

@@ -167,6 +167,11 @@ def _tv_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return 0.5 * _row_sums(np.abs(ux - uy), bounds)
 
 
+def _jaccard_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Set Jaccard of the supports of each pair of aligned rows: shared entries over row length."""
+    return np.diff(_kept_bounds((ux > 0.0) & (uy > 0.0), bounds)) / np.diff(bounds)
+
+
 def _jsd_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Jensen-Shannon divergence in bits of each pair of aligned rows."""
     m = 0.5 * (ux + uy)
@@ -182,11 +187,10 @@ def _jsd_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def _report_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(jp, jw, support Jaccard, tv, jsd)`` arrays, one entry per pair of aligned rows."""
-    inter = (ux > 0.0) & (uy > 0.0)
     return (
         _row_sums(_jp_terms(ux, uy, bounds), bounds),
         _jw_rows(ux, uy, bounds),
-        np.diff(_kept_bounds(inter, bounds)) / np.diff(bounds),
+        _jaccard_rows(ux, uy, bounds),
         _tv_rows(ux, uy, bounds),
         _jsd_rows(ux, uy, bounds),
     )
@@ -238,7 +242,7 @@ def jw(x: SparseVector, y: SparseVector) -> float:
         raise ValueError("both inputs are empty")
     ux, uy, bounds = _one_row(x, y)
     n = ux.shape[0]
-    both = _scale_rows(np.concatenate((ux, uy)), [0], [2 * n])  # one scale keeps the ratio
+    both = _scale_rows(np.concatenate((ux, uy)), [0, 2 * n])  # one scale keeps the ratio
     return float(_jw_rows(both[:n], both[n:], bounds)[0])
 
 
@@ -246,9 +250,7 @@ def support_jaccard(x: SparseVector, y: SparseVector) -> float:
     """Set Jaccard of the two supports."""
     if not len(x) and not len(y):
         raise ValueError("both inputs are empty")
-    a = x.support
-    b = y.support
-    return len(a & b) / len(a | b)
+    return float(_jaccard_rows(*_one_row(x, y))[0])
 
 
 def total_variation(x: SparseDistribution, y: SparseDistribution) -> float:

@@ -178,18 +178,19 @@ class SparseDistribution(SparseVector):
             raise ValueError(f"masses sum to {self.total!r}, not 1")
 
 
-def _scale_rows(masses: np.ndarray, starts, row_len) -> np.ndarray:
+def _scale_rows(masses: np.ndarray, bounds) -> np.ndarray:
     """Each row's masses scaled by the power of two that brings its largest into [0.5, 1).
 
-    Row r is ``masses[starts[r]:starts[r] + row_len[r]]``; no row may be
-    empty.  Sums of a scaled row then stay finite for masses near 1e308, and
-    keys ``-log(u) / mass`` stay finite for subnormal masses.  Scaling by a
+    Row r is ``masses[bounds[r]:bounds[r + 1]]``; no row may be empty.
+    Sums of a scaled row then stay finite for masses near 1e308, and keys
+    ``-log(u) / mass`` stay finite for subnormal masses.  Scaling by a
     power of two is exact while the scaled masses stay normal floats, so
     sums, ratios and keys of a row scale by that same power: samples keep
     their winners and ratios their value.
     """
-    exps = np.frexp(np.maximum.reduceat(masses, starts))[1]
-    return np.ldexp(masses, -np.repeat(exps, row_len))
+    bounds = np.asarray(bounds)
+    exps = np.frexp(np.maximum.reduceat(masses, bounds[:-1]))[1]
+    return np.ldexp(masses, -np.repeat(exps, np.diff(bounds)))
 
 
 def _normalize_rows(masses: np.ndarray, bounds) -> np.ndarray:
@@ -199,12 +200,10 @@ def _normalize_rows(masses: np.ndarray, bounds) -> np.ndarray:
     ``math.fsum`` of its scaled masses.  No row may be empty or all zero;
     zeros inside a row stay zero and change no other mass.
     """
-    bounds = np.asarray(bounds)
-    row_len = np.diff(bounds)
-    masses = _scale_rows(masses, bounds[:-1], row_len)
-    ends = bounds.tolist()
+    masses = _scale_rows(masses, bounds)
+    ends = np.asarray(bounds).tolist()
     totals = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])]
-    return masses / np.repeat(totals, row_len)
+    return masses / np.repeat(totals, np.diff(ends))
 
 
 def normalize(v: SparseVector) -> SparseDistribution:

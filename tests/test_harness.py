@@ -282,6 +282,17 @@ def test_banded_frequency_matches_scalar_band_keys():
         assert got * (r + 1) - prev * r == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("a, o, seed, reps", [(2, 8, 3, 300), (1, 1, 4, 500), (3, 2, 11, 200)])
+def test_empirical_recall_of_one_pair_is_its_banded_frequency(a, o, seed, reps):
+    # one positive pair: each replicate's recall is 1 if the pair shares a band key, else 0
+    report = similarity_report(REF_X, REF_Y)
+    score = PairScore("x", "y", report.jp, report.jw, report.jsd, report.tv, report.support_jaccard)
+    pairs = PairSample((score,), dists={"x": REF_X, "y": REF_Y})
+    runs = empirical_retrieval_runs(pairs, "jp>0", a, o, replicates=reps, seed=seed)
+    recall = float(np.mean([r[1] for r in runs]))
+    assert recall == banded_collision_frequency(REF_X, REF_Y, a, o, seed=seed, replicates=reps)
+
+
 # --- banding and index ----------------------------------------------------------
 
 def test_band_keys_consume_disjoint_positions():

@@ -52,6 +52,46 @@ def test_pair_csv_malformed_line_number(tmp_path):
         jio.read_pair_csv(path)
 
 
+def test_pair_csv_ids_that_read_back_roundtrip(tmp_path):
+    # only idA starts a line, so idB may start with '#' or whitespace
+    pairs = PairSample((PairScore("a#", "#b", 1.0, 1.0, 0.0, 0.0, 1.0), PairScore("", " c\t", 0, 0, 1, 1, 0)))
+    path = tmp_path / "pairs.csv"
+    jio.write_pair_csv(path, pairs)
+    assert jio.read_pair_csv(path).scores == pairs.scores
+
+
+@pytest.mark.parametrize(
+    "id_a,id_b,bad",
+    [
+        ("c,1", "b", "c,1"),
+        ("a", "c,1", "c,1"),
+        ("#a", "b", "#a"),
+        (" a", "b", " a"),
+        ("\ta", "b", "\ta"),
+        ("a", "b\nc", "b\nc"),
+        ("a\r", "b", "a\r"),
+        ("a", "b\x0bc", "b\x0bc"),
+        ("a\x1cb", "b", "a\x1cb"),
+        ("a", "b\u2028", "b\u2028"),
+    ],
+)
+def test_pair_csv_refuses_ids_that_do_not_read_back(tmp_path, id_a, id_b, bad):
+    path = tmp_path / "pairs.csv"
+    pairs = PairSample((PairScore("ok", "ok", 1.0, 1.0, 0.0, 0.0, 1.0), PairScore(id_a, id_b, 0, 0, 1, 1, 0)))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        jio.write_pair_csv(path, pairs)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("doc_id", ["#a", "c,1"])
+def test_cli_sim_refuses_pair_ids_that_do_not_read_back(tmp_path, capsys, doc_id):
+    corpus, out = tmp_path / "pairs.jsonl", tmp_path / "sim.csv"
+    _write_corpus(corpus, [{"id": doc_id, "text": "x y"}, {"id": "b", "text": "x z"}])
+    assert run(["sim", "--pairs", str(corpus), "--out", str(out)]) == 1
+    assert repr(doc_id) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pr_csv_roundtrip(tmp_path):
     from jpminhash.harness import PRPoint
 
@@ -62,6 +102,27 @@ def test_pr_csv_roundtrip(tmp_path):
     path = tmp_path / "pr.csv"
     jio.write_pr_csv(path, points)
     assert jio.read_pr_csv(path) == points
+
+
+_PR_HEADER = "# jpminhash-v1\nmethod,a,o,cost,precision,recall,mode\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# jpminhash-v1\nmethod,a,o,cost,precision,recall\n",
+         ": expected PR CSV columns 'method,a,o,cost,precision,recall,mode'"),
+        (_PR_HEADER + "JP,2,4,4,0.5,0.5,analytic\nJP,2,4,4,0.5,0.5\n", ":4: expected 7 fields, got 6"),
+        (_PR_HEADER + "JP,two,4,4,0.5,0.5,analytic\n", ":3: invalid literal for int() with base 10: 'two'"),
+    ],
+    ids=["header", "six-fields", "a-not-integer"],
+)
+def test_pr_csv_malformed(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        jio.read_pr_csv(path)
+    assert str(exc.value) == f"{path}{message}"
 
 
 def test_signatures_jsonl_roundtrip(tmp_path):

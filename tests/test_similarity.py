@@ -407,6 +407,7 @@ def test_row_batch_equals_each_pair_exactly():
     for x, y, row in zip(xs, ys, rows):
         assert row == _report_per_pair(x, y)
         assert row == astuple(similarity_report(x, y))
+        assert row[2] == support_jaccard(x, y)
     # the same rows in another order, so each sits in another padded block
     back = _report_rows(*_aligned_rows(xs[::-1], ys[::-1]))
     assert list(zip(*(v.tolist() for v in back))) == rows[::-1]

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from jpminhash import cli, minhash
-from jpminhash.harness import corpus_from_records
+from jpminhash.harness import corpus_from_records, synth_pairs
 from jpminhash.verify import REF_X, REF_Y
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,6 +49,20 @@ def test_tracer_counts_each_hash_once(monkeypatch, tmp_path):
             assert cli.run(argv) == 0
         assert t.counts["minhash.hashes"] == hashes
         assert t.counts["hashing.uniform_hash_vec.elements"] == hashed
+
+
+def test_tracer_counts_the_hashes_of_empirical_eval(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    pairs = synth_pairs(20, seed=4)
+    entries = sum(len(pairs.dists[s.id_a]) + len(pairs.dists[s.id_b]) for s in pairs.scores)
+    argv = ["eval", "--synthetic", "20", "--mode", "empirical", "--grid", "2x4,1x3",
+            "--replicates", "3", "--seed", "4", "--out", str(tmp_path / "pr.csv")]
+    with tracer.Tracer() as t:
+        assert cli.run(argv) == 0
+    # every (entry, signature position) cell of both grid points in all 3 replicates
+    assert t.counts["minhash.hashes"] == entries * (8 + 3) * 3 == 291_060
 
 
 def test_tracer_counts_the_buckets_of_a_read_index(monkeypatch, tmp_path):
