@@ -22,11 +22,11 @@ from .hashing import derive_seed_vec, fin64, fin64_vec
 from .minhash import _PackedVectors, batch_signatures, signature
 # similarity_report and normalize are not called here; perfbench/tracer.py
 # patches both names in this module, so they must exist here.
-from .similarity import _aligned_rows, _report_rows, similarity_report  # noqa: F401
+from .similarity import _aligned_rows, _d_curve, _report_rows, similarity_report  # noqa: F401
 from .sparse import (  # noqa: F401
     SparseDistribution,
     SparseVector,
-    _check_masses,
+    _distributions,
     _kept_bounds,
     _normalize_rows,
     normalize,
@@ -94,14 +94,8 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
     """Documents from (doc_id, token weights) records, skipping and counting empty ones.
 
     One pass lays every record's entries end to end and hashes each distinct
-    token once.  One stable sort by (record, id) puts repeated ids of a
-    record next to each other in input order, so they add as in
-    :meth:`SparseVector.from_arrays`; each row is then scaled and divided by
-    the ``math.fsum`` of its masses, as :func:`normalize` scales and divides.
-    The masses are checked once for the whole batch, with the message
-    :meth:`SparseVector.from_arrays` gives; a row of positive finite masses
-    divided by their ``fsum`` sums to one within rounding, so no row is
-    summed again.
+    token once; one :func:`sparse._distributions` call then merges,
+    normalizes and checks every record.
     """
     doc_ids: list[str] = []
     tokens: list[str] = []
@@ -114,27 +108,8 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
         row_len.append(len(w))
     element = {t: token_element_id(t) for t in set(tokens)}
     ids = np.fromiter(map(element.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
-    rows = np.repeat(np.arange(len(doc_ids)), row_len)
-    order = np.lexsort((ids, rows))
-    ids, rows, masses = ids[order], rows[order], np.array(weights, dtype=np.float64)[order]
-    first = np.ones(ids.shape[0], dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
-    masses = np.bincount(np.cumsum(first) - 1, weights=masses, minlength=int(first.sum()))
-    ids, rows = ids[first], rows[first]
-    keep = masses != 0.0
-    ids, rows, masses = ids[keep], rows[keep], masses[keep]
-    if (masses < 0.0).any():  # an all-negative row would otherwise normalize to positive
-        raise ValueError(f"mass for element {ids[masses < 0.0][0]} must be positive and finite")
-    lengths = np.bincount(rows, minlength=len(doc_ids))
-    nonempty = np.flatnonzero(lengths)
-    bounds = np.zeros(nonempty.shape[0] + 1, dtype=np.intp)
-    np.cumsum(lengths[nonempty], out=bounds[1:])
-    masses = _normalize_rows(masses, bounds)  # scaled rows sum without overflow near 1e308
-    keep = masses != 0.0  # a mass far below its row's largest can round to zero
-    _check_masses(ids[keep], masses[keep])
-    bounds = _kept_bounds(keep, bounds)
-    dists = SparseDistribution._rows(ids[keep], masses[keep], bounds)
-    corpus = [Document(doc_ids[r], dist) for r, dist in zip(nonempty.tolist(), dists)]
+    dists, kept = _distributions(ids, np.array(weights, dtype=np.float64), row_len)
+    corpus = [Document(doc_ids[r], dist) for r, dist in zip(kept.tolist(), dists)]
     return corpus, len(doc_ids) - len(corpus)
 
 
@@ -590,14 +565,6 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     for w in (p, 1.0 - p):
         pos = w > 0.0
         out[pos] -= w[pos] * np.log2(w[pos])
-    return out
-
-
-def _d_curve(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    for w in (1.0 - p, 1.0 + p):
-        pos = w > 0.0
-        out[pos] += 0.5 * w[pos] * np.log2(w[pos])
     return out
 
 

@@ -157,6 +157,11 @@ def _jp_terms(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _jp_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Collision similarity jp of each pair of aligned rows."""
+    return _row_sums(_jp_terms(ux, uy, bounds), bounds)
+
+
 def _jw_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Weighted Jaccard of each pair of aligned rows."""
     return _row_sums(np.minimum(ux, uy), bounds) / _row_sums(np.maximum(ux, uy), bounds)
@@ -188,7 +193,7 @@ def _jsd_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _report_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(jp, jw, support Jaccard, tv, jsd)`` arrays, one entry per pair of aligned rows."""
     return (
-        _row_sums(_jp_terms(ux, uy, bounds), bounds),
+        _jp_rows(ux, uy, bounds),
         _jw_rows(ux, uy, bounds),
         _jaccard_rows(ux, uy, bounds),
         _tv_rows(ux, uy, bounds),
@@ -204,8 +209,7 @@ def _one_row(x: SparseVector, y: SparseVector) -> tuple[np.ndarray, np.ndarray, 
 
 def jp(x: SparseDistribution, y: SparseDistribution) -> float:
     """Collision similarity in O(n log n); equals :func:`jp_naive` within 1e-9."""
-    ux, uy, bounds = _one_row(x, y)
-    return float(_jp_terms(ux, uy, bounds).sum())
+    return float(_jp_rows(*_one_row(x, y))[0])
 
 
 @dataclass(frozen=True)
@@ -263,8 +267,13 @@ def jsd(x: SparseDistribution, y: SparseDistribution) -> float:
     return float(_jsd_rows(*_one_row(x, y))[0])
 
 
-def _half_xlog2(w: float) -> float:
-    return 0.0 if w == 0.0 else 0.5 * w * math.log2(w)
+def _d_curve(p: np.ndarray) -> np.ndarray:
+    """The d-curve of :func:`bound_curves`, elementwise over an array of ``p``."""
+    out = np.zeros_like(p)
+    for w in (1.0 - p, 1.0 + p):
+        pos = w > 0.0
+        out[pos] += 0.5 * w[pos] * np.log2(w[pos])
+    return out
 
 
 def bound_curves(p: float) -> tuple[float, float, float]:
@@ -277,8 +286,7 @@ def bound_curves(p: float) -> tuple[float, float, float]:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    d = _half_xlog2(1.0 - p) + _half_xlog2(1.0 + p)
-    return d, (1.0 - p) / (1.0 + p), 1.0 - p
+    return float(_d_curve(np.float64(p))), (1.0 - p) / (1.0 + p), 1.0 - p
 
 
 def construct_lower_pair(

@@ -79,16 +79,16 @@ class SparseVector:
     def from_arrays(cls, ids, masses) -> "SparseVector":
         """Build from parallel id and mass arrays in any order.
 
-        Ids are sorted, masses of a repeated id add in input order and zero
-        masses drop.  The caller's arrays are copied, never frozen.
+        Ids are sorted and masses of a repeated id add in input order, by
+        the merge :func:`_distributions` runs on each row; zero masses drop.
+        The caller's arrays are copied, never frozen.
         """
         ids = _id_array(ids)
         masses = np.asarray(masses, dtype=np.float64)
         if ids.ndim != 1 or ids.shape != masses.shape:
             raise ValueError("ids and masses must be 1-D arrays of one length")
         if (ids[1:] <= ids[:-1]).any():
-            ids, inv = np.unique(ids, return_inverse=True)
-            masses = np.bincount(inv, weights=masses, minlength=ids.shape[0])
+            ids, masses, _ = _merge(ids, masses, np.zeros(ids.shape[0], dtype=np.intp))
         keep = masses != 0.0
         v = cls.__new__(cls)
         v._set(ids[keep], masses[keep])
@@ -149,6 +149,16 @@ def _check_masses(ids: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
 
 
+def _merge(ids: np.ndarray, masses: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(ids, masses, rows)`` sorted by (row, id); an id's repeats in a row add in input order."""
+    order = np.lexsort((ids, rows))
+    ids, rows = ids[order], rows[order]
+    first = np.ones(ids.shape[0], dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    masses = np.bincount(np.cumsum(first) - 1, weights=masses[order], minlength=int(first.sum()))
+    return ids[first], masses, rows[first]
+
+
 def _kept_bounds(keep: np.ndarray, bounds) -> np.ndarray:
     """Row bounds of a packed batch after only its entries where ``keep`` holds are kept."""
     counts = np.zeros(keep.shape[0] + 1, dtype=np.intp)
@@ -206,15 +216,39 @@ def _normalize_rows(masses: np.ndarray, bounds) -> np.ndarray:
     return masses / np.repeat(totals, np.diff(ends))
 
 
+def _distributions(ids: np.ndarray, masses: np.ndarray, row_len) -> tuple[list, np.ndarray]:
+    """Distributions of rows of unordered ``(id, mass)`` entries, and the numbers of the rows kept.
+
+    Row r is the ``row_len[r]`` entries after row r - 1's.  Each row merges
+    as in :meth:`SparseVector.from_arrays` and zeros drop; an empty row is
+    skipped.  One check, with the message of :meth:`SparseVector.from_arrays`,
+    covers the batch before rows are divided as :func:`_normalize_rows`
+    divides: an all-negative row would divide to positive masses, and
+    positive finite masses divided by their ``fsum`` stay finite and sum to
+    one within rounding.  Masses that round to zero then drop.
+    """
+    ids, masses, rows = _merge(ids, masses, np.repeat(np.arange(len(row_len)), row_len))
+    keep = masses != 0.0
+    ids, masses, rows = ids[keep], masses[keep], rows[keep]
+    _check_masses(ids, masses)
+    lengths = np.bincount(rows, minlength=len(row_len))
+    kept = np.flatnonzero(lengths)
+    bounds = np.zeros(kept.shape[0] + 1, dtype=np.intp)
+    np.cumsum(lengths[kept], out=bounds[1:])
+    masses = _normalize_rows(masses, bounds)  # scaled rows sum without overflow near 1e308
+    keep = masses != 0.0  # a mass far below its row's largest can round to zero
+    return SparseDistribution._rows(ids[keep], masses[keep], _kept_bounds(keep, bounds)), kept
+
+
 def normalize(v: SparseVector) -> SparseDistribution:
-    """Scale a nonnegative vector to total mass one.
+    """Scale a nonnegative vector to total mass one: a one-row :func:`_distributions`.
 
     Raises ``ValueError("degenerate distribution")`` for an empty (equivalently
-    all-zero) vector.  Entry order is preserved.
+    all-zero) vector.
     """
     if not len(v):
         raise ValueError("degenerate distribution")
-    return SparseDistribution.from_arrays(v.ids, _normalize_rows(v.masses, [0, len(v)]))
+    return _distributions(v.ids, v.masses, [len(v)])[0][0]
 
 
 @dataclass(frozen=True)
@@ -246,13 +280,6 @@ class Partition:
     @classmethod
     def singletons(cls, ids: Iterable[int]) -> "Partition":
         return cls(tuple(frozenset((int(i),)) for i in ids))
-
-    @cached_property
-    def universe(self) -> frozenset[int]:
-        out: set[int] = set()
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
 
 
 def coarsen(x: SparseDistribution, partition: Partition) -> SparseDistribution:

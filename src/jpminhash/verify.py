@@ -11,7 +11,11 @@ four-sigma binomial bands; with the seeds pinned they either always pass or
 always fail.
 
 The reference pair and the random generators the checks draw from are
-shared with the unit tests.
+shared with the unit tests.  The checks of exact properties (oracle,
+sandwich, uniform reduction, structure, metric) draw all their data first,
+build it with the package's batch constructor and score their pairs in one
+batch, bit for bit as the single-pair functions; only the ``jp_naive``
+oracle and the reference pair are evaluated pair by pair.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense, harness, minhash, similarity
+from . import dense, harness, minhash, similarity, sparse
 from .sparse import Partition, SparseDistribution, SparseVector, coarsen, normalize
 
 __all__ = [
@@ -51,8 +55,20 @@ _REF_TERMS = (0.2, 4.0 / 13.0, 0.1)
 
 def rand_dist(rng: np.random.Generator, ids: np.ndarray) -> SparseDistribution:
     """Normalized exponential masses on an id array."""
-    masses = np.maximum(rng.exponential(size=ids.shape[0]), 1e-12)  # draws of exactly 0 are void
-    return normalize(SparseVector.from_arrays(ids, masses))
+    return _dists([_rand_row(rng, sparse._id_array(ids))])[0]
+
+
+def _rand_row(rng: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An id array and the exponential masses :func:`rand_dist` draws for it."""
+    return ids, np.maximum(rng.exponential(size=ids.shape[0]), 1e-12)  # draws of exactly 0 are void
+
+
+def _dists(rows) -> list[SparseDistribution]:
+    """Distributions of ``(uint64 ids, masses)`` rows, built by one batch constructor call."""
+    dists, kept = sparse._distributions(*map(np.concatenate, zip(*rows)), [len(i) for i, _ in rows])
+    if kept.shape[0] != len(rows):
+        raise ValueError("degenerate distribution")
+    return dists
 
 
 @dataclass(frozen=True)
@@ -66,13 +82,24 @@ def rand_pair(
     rng: np.random.Generator, max_side: int = 30
 ) -> tuple[SparseDistribution, SparseDistribution]:
     """Random pair with overlap anywhere between disjoint and identical."""
+    (x,), (y,) = _rand_pairs(rng, 1, max_side)
+    return x, y
+
+
+def _rand_pair_rows(rng: np.random.Generator, max_side: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(ids, masses)`` rows of one :func:`rand_pair`, x then y."""
     shared = int(rng.integers(0, max_side + 1))
     only_x = int(rng.integers(0 if shared else 1, max_side + 1))
     only_y = int(rng.integers(0 if shared else 1, max_side + 1))
     pool = rng.choice(1_000_000, size=shared + only_x + only_y, replace=False).astype(np.uint64)
-    x = rand_dist(rng, pool[: shared + only_x])
-    y = rand_dist(rng, np.concatenate([pool[:shared], pool[shared + only_x :]]))
-    return x, y
+    x = _rand_row(rng, pool[: shared + only_x])
+    return [x, _rand_row(rng, np.concatenate([pool[:shared], pool[shared + only_x :]]))]
+
+
+def _rand_pairs(rng: np.random.Generator, n: int, max_side: int) -> tuple[list, list]:
+    """The xs and ys of ``n`` :func:`rand_pair` calls: the same draws, built in one batch."""
+    dists = _dists([row for _ in range(n) for row in _rand_pair_rows(rng, max_side)])
+    return dists[0::2], dists[1::2]
 
 
 def uniform_on(ids) -> SparseDistribution:
@@ -102,6 +129,11 @@ def chi2_sf(x: float, df: int) -> float:
     return total
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, 0.0 when there are none."""
+    return float(np.max(values, initial=0.0))
+
+
 def _pull(est: float, target: float, band: float) -> float:
     """Deviation in units of the band; the raw deviation when the band is 0."""
     return abs(est - target) / band if band else abs(est - target)
@@ -109,11 +141,9 @@ def _pull(est: float, target: float, band: float) -> float:
 
 def check_oracle_equivalence(n_pairs: int, seed: int, max_side: int) -> CheckResult:
     """Fast jp equals the O(n^2) oracle, and the hand values on the reference pair."""
-    rng = np.random.default_rng(seed)
-    pairs = [rand_pair(rng, max_side) for _ in range(n_pairs)]
-    worst = 0.0
-    for x, y in pairs:
-        worst = max(worst, abs(similarity.jp(x, y) - similarity.jp_naive(x, y)))
+    xs, ys = _rand_pairs(np.random.default_rng(seed), n_pairs, max_side)
+    naive = [similarity.jp_naive(x, y) for x, y in zip(xs, ys)]
+    worst = _worst(np.abs(similarity._jp_rows(*similarity._aligned_rows(xs, ys)) - naive))
     jp_val = similarity.jp(REF_X, REF_Y)
     jw_val = similarity.jw(REF_X, REF_Y)
     tv_val = similarity.total_variation(REF_X, REF_Y)
@@ -232,25 +262,11 @@ def check_sandwich_and_constructions(
     The lower construction runs on the first tenth of the random pairs; the
     upper one on as many random shared bases drawn from ``construction_seed``.
     """
-    rng = np.random.default_rng(seed)
-    pairs = [rand_pair(rng, max_side) for _ in range(n_pairs)]
-    worst_sandwich = 0.0
-    worst_identity = 0.0
-    for x, y in pairs:
-        jp_v, jw_v = similarity.jp(x, y), similarity.jw(x, y)
-        tv_v = similarity.total_variation(x, y)
-        worst_sandwich = max(worst_sandwich, jw_v - jp_v, jp_v - 2.0 * jw_v / (1.0 + jw_v))
-        worst_identity = max(worst_identity, abs(jw_v - (1.0 - tv_v) / (1.0 + tv_v)))
-    for s in sample.scores:
-        worst_sandwich = max(worst_sandwich, s.jw - s.jp, s.jp - 2.0 * s.jw / (1.0 + s.jw))
-        worst_identity = max(worst_identity, abs(s.jw - (1.0 - s.tv) / (1.0 + s.tv)))
+    xs, ys = _rand_pairs(np.random.default_rng(seed), n_pairs, max_side)
     n_constructions = n_pairs // 10
-    worst_lower = 0.0
-    for x, y in pairs[:n_constructions]:
-        xl, yl = similarity.construct_lower_pair(x, y)
-        worst_lower = max(worst_lower, abs(similarity.jp(xl, yl) - similarity.jw(x, y)))
+    pairs = [similarity.construct_lower_pair(x, y) for x, y in zip(xs[:n_constructions], ys)]
     rng = np.random.default_rng(construction_seed)
-    worst_upper = 0.0
+    ps = []
     for _ in range(n_constructions):
         n = int(rng.integers(2, 12))
         p = float(rng.uniform(0.0, 0.95))
@@ -259,8 +275,18 @@ def check_sandwich_and_constructions(
         shared = SparseVector(tuple(zip(range(n), masses.tolist())))
         cut = int(rng.integers(1, n))
         split = Partition.of(range(cut), range(cut, n))
-        xu, yu = similarity.construct_upper_pair(shared, p, split)
-        worst_upper = max(worst_upper, abs(similarity.jp(xu, yu) - (1.0 - p)))
+        pairs.append(similarity.construct_upper_pair(shared, p, split))
+        ps.append(p)
+    built = xs + [x for x, _ in pairs], ys + [y for _, y in pairs]
+    jp, jw, _, tv, _ = similarity._report_rows(*similarity._aligned_rows(*built))
+    jp, jp_lower, jp_upper = np.split(jp, [n_pairs, n_pairs + n_constructions])
+    worst_lower = _worst(np.abs(jp_lower - jw[:n_constructions]))
+    worst_upper = _worst(np.abs(jp_upper - (1.0 - np.array(ps))))
+    jp = np.concatenate([jp, [s.jp for s in sample.scores]])
+    jw = np.concatenate([jw[:n_pairs], [s.jw for s in sample.scores]])
+    tv = np.concatenate([tv[:n_pairs], [s.tv for s in sample.scores]])
+    worst_sandwich = _worst(np.maximum(jw - jp, jp - 2.0 * jw / (1.0 + jw)))
+    worst_identity = _worst(np.abs(jw - (1.0 - tv) / (1.0 + tv)))
     worst = max(worst_sandwich, worst_identity, worst_lower, worst_upper)
     return CheckResult(
         "sandwich-and-constructions",
@@ -277,27 +303,26 @@ def check_uniform_reduction(n_cases: int, seed: int) -> CheckResult:
     ``small < big`` elements sharing ``overlap``, jw is overlap / (2 big - overlap).
     """
     rng = np.random.default_rng(seed)
-    worst_reduction = 0.0
+    rows = []  # x, y of each pair; each is normalized as uniform_on normalizes
     for _ in range(n_cases):
         shared = int(rng.integers(0, 40))
         nx = int(rng.integers(0 if shared else 1, 40))
         ny = int(rng.integers(0 if shared else 1, 40))
-        pool = rng.choice(100_000, size=shared + nx + ny, replace=False)
-        x = uniform_on(pool[: shared + nx])
-        y = uniform_on(np.concatenate([pool[:shared], pool[shared + nx :]]))
-        worst_reduction = max(
-            worst_reduction, abs(similarity.jp(x, y) - similarity.support_jaccard(x, y))
-        )
-    worst_indicator = 0.0
+        pool = rng.choice(100_000, size=shared + nx + ny, replace=False).astype(np.uint64)
+        rows += [pool[: shared + nx], np.concatenate([pool[:shared], pool[shared + nx :]])]
+    expected = []
     for _ in range(n_cases // 5):
         big = int(rng.integers(2, 40))
         small = int(rng.integers(1, big))
         overlap = int(rng.integers(1, small + 1))
-        pool = rng.choice(100_000, size=big + small - overlap, replace=False)
-        x = uniform_on(pool[:big])
-        y = uniform_on(np.concatenate([pool[:overlap], pool[big : big + small - overlap]]))
-        expected = overlap / ((big - overlap) + big)
-        worst_indicator = max(worst_indicator, abs(similarity.jw(x, y) - expected))
+        pool = rng.choice(100_000, size=big + small - overlap, replace=False).astype(np.uint64)
+        rows += [pool[:big], np.concatenate([pool[:overlap], pool[big : big + small - overlap]])]
+        expected.append(overlap / ((big - overlap) + big))
+    dists = _dists([(ids, np.ones(ids.shape[0])) for ids in rows])
+    aligned = similarity._aligned_rows(dists[0::2], dists[1::2])
+    jp, jw, jaccard, _, _ = similarity._report_rows(*aligned)
+    worst_reduction = _worst(np.abs(jp - jaccard)[:n_cases])
+    worst_indicator = _worst(np.abs(jw[n_cases:] - expected))
     return CheckResult(
         "uniform-reduction",
         worst_reduction <= 1e-12 and worst_indicator <= 1e-12,
@@ -309,65 +334,84 @@ def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
     """Term caps and saturation, then (a fifth as many cases each) disjoint-block
     combination, adversarial dominance and coarsening monotonicity."""
     rng = np.random.default_rng(seed)
+    n = n_cases // 5
 
     def broken(detail: str) -> CheckResult:
         return CheckResult("structural-properties", False, detail)
 
-    for i in range(n_cases):
-        x, y = rand_pair(rng, max_side=8)
-        terms = similarity.jp_terms(x, y)
-        saturated = 0
-        for eid, t in terms.terms:
-            cap = min(x.mass_of(eid), y.mass_of(eid))
-            if t > cap + 1e-12:
-                return broken(f"term cap broken on pair {i}")
-            if abs(t - cap) <= 1e-12:
-                saturated += 1
-        if len(terms.terms) >= 2 and saturated < 2:
-            return broken(f"under-saturated pair {i}")
-    for _ in range(n_cases // 5):
+    xs, ys = _rand_pairs(rng, n_cases, max_side=8)
+    block_rows, weights = [], []
+    for _ in range(n):
         m = int(rng.integers(2, 6))
-        blocks = [
-            rand_dist(rng, np.arange(100 * k, 100 * k + rng.integers(1, 5), dtype=np.uint64))
+        block_rows += [
+            _rand_row(rng, np.arange(100 * k, 100 * k + rng.integers(1, 5), dtype=np.uint64))
             for k in range(m)
         ]
         alpha = np.maximum(rng.exponential(size=m), 1e-9)
         beta = np.maximum(rng.exponential(size=m), 1e-9)
-        alpha /= alpha.sum()
-        beta /= beta.sum()
-        x = normalize(SparseVector.from_pairs(
-            (eid, alpha[k] * mass) for k, w in enumerate(blocks) for eid, mass in w.entries
-        ))
-        y = normalize(SparseVector.from_pairs(
-            (eid, beta[k] * mass) for k, w in enumerate(blocks) for eid, mass in w.entries
-        ))
-        combo = similarity.jp(x, y)
-        direct = similarity.jp(
-            normalize(SparseVector.from_pairs(enumerate(alpha))),
-            normalize(SparseVector.from_pairs(enumerate(beta))),
-        )
-        if abs(combo - direct) > 1e-9:
-            return broken(f"disjoint combination off by {abs(combo - direct):.3g}")
-    for _ in range(n_cases // 5):
-        x, y = rand_pair(rng, max_side=6)
-        base = similarity.jp(x, y)
-        terms = similarity.jp_terms(x, y)
-        for a in sorted(x.support & y.support):
-            z = similarity.adversarial_z(x, y, a)
-            if similarity.jp(x, z) < base - 1e-9 or similarity.jp(y, z) < base - 1e-9:
-                return broken(f"dominance broken at element {a}")
-            if abs(z.mass_of(a) - terms.term_of(a)) > 1e-12:
-                return broken(f"z mass differs from the jp term at element {a}")
-    for i in range(n_cases // 5):
-        x, y = rand_pair(rng, max_side=8)
-        union = sorted(x.support | y.support)
-        labels = rng.integers(0, max(1, len(union) // 2), size=len(union))
+        weights.append((alpha / alpha.sum(), beta / beta.sum()))
+    dom_x, dom_y = _rand_pairs(rng, n, max_side=6)
+    coarse_rows, labels = [], []
+    for _ in range(n):
+        coarse_rows += _rand_pair_rows(rng, max_side=8)
+        size = np.union1d(coarse_rows[-2][0], coarse_rows[-1][0]).shape[0]
+        labels.append(rng.integers(0, max(1, size // 2), size=size).tolist())
+
+    blocks, mixed = iter(_dists(block_rows)), []  # per case: the mixtures, then their weights
+    for alpha, beta in weights:
+        ws = [next(blocks) for _ in alpha]
+        ids = np.concatenate([w.ids for w in ws])
+        for c in (alpha, beta):
+            mixed.append((ids, np.concatenate([c[k] * w.masses for k, w in enumerate(ws)])))
+        mixed += [(np.arange(alpha.shape[0], dtype=np.uint64), c) for c in (alpha, beta)]
+    mixed = _dists(mixed)
+    zs = [
+        (i, a, similarity.adversarial_z(x, y, a))
+        for i, (x, y) in enumerate(zip(dom_x, dom_y))
+        for a in np.intersect1d(x.ids, y.ids).tolist()
+    ]
+    coarse, coarsened = _dists(coarse_rows), []
+    for x, y, lab in zip(coarse[0::2], coarse[1::2], labels):
         groups: dict[int, set[int]] = {}
-        for eid, lab in zip(union, labels):
-            groups.setdefault(int(lab), set()).add(eid)
+        for eid, label in zip(sorted(x.support | y.support), lab):
+            groups.setdefault(label, set()).add(eid)
         part = Partition(tuple(frozenset(g) for g in groups.values()))
-        if similarity.jp(coarsen(x, part), coarsen(y, part)) < similarity.jp(x, y) - 1e-9:
-            return broken(f"coarsening decreased jp on pair {i}")
+        coarsened += [coarsen(x, part), coarsen(y, part)]
+    # one batch of pairs, in groups: the cap pairs; per case the mixtures, then their
+    # weights; the dominance pairs; (x, z) and (y, z) per z; coarsened, then original pairs
+    ux, uy, bounds = similarity._aligned_rows(
+        xs + mixed[0::2] + dom_x + [v for i, _, _ in zs for v in (dom_x[i], dom_y[i])]
+        + coarsened[0::2] + coarse[0::2],
+        ys + mixed[1::2] + dom_y + [z for *_, z in zs for _ in (0, 1)]
+        + coarsened[1::2] + coarse[1::2],
+    )
+    terms = similarity._jp_terms(ux, uy, bounds)
+    jp = similarity._row_sums(terms, bounds)
+    _, mix, base, dom, after, before = np.split(jp, np.cumsum([n_cases, 2 * n, n, 2 * len(zs), n]))
+
+    cap = np.minimum(ux, uy)
+    over = np.diff(sparse._kept_bounds(terms > cap + 1e-12, bounds))[:n_cases] > 0
+    saturated = np.diff(sparse._kept_bounds(np.abs(terms - cap) <= 1e-12, bounds))[:n_cases]
+    bad = np.flatnonzero(over | ((np.diff(bounds)[:n_cases] >= 2) & (saturated < 2)))
+    if bad.size:
+        i = int(bad[0])
+        return broken(f"term cap broken on pair {i}" if over[i] else f"under-saturated pair {i}")
+    off = np.abs(mix[0::2] - mix[1::2])
+    if (off > 1e-9).any():
+        return broken(f"disjoint combination off by {off[off > 1e-9][0]:.3g}")
+    base = base[[i for i, _, _ in zs]] - 1e-9
+    lo, hi = bounds[n_cases + 2 * n], bounds[n_cases + 3 * n]
+    term = terms[lo:hi][(ux[lo:hi] > 0.0) & (uy[lo:hi] > 0.0)]  # of each z's element, in order
+    z_off = np.abs(np.array([z.mass_of(a) for _, a, z in zs]) - term) > 1e-12
+    dominated = (dom[0::2] < base) | (dom[1::2] < base)
+    bad = np.flatnonzero(dominated | z_off)
+    if bad.size:
+        k, a = int(bad[0]), zs[bad[0]][1]
+        what = "dominance broken" if dominated[k] else "z mass differs from the jp term"
+        return broken(f"{what} at element {a}")
+    bad = np.flatnonzero(after < before - 1e-9)
+    if bad.size:
+        return broken(f"coarsening decreased jp on pair {int(bad[0])}")
     return CheckResult(
         "structural-properties",
         True,
@@ -378,7 +422,7 @@ def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
 def check_metric(n_triples: int, seed: int) -> CheckResult:
     """1 - jp satisfies the triangle inequality on random triples."""
     rng = np.random.default_rng(seed)
-    violations = 0
+    rows = []
     for _ in range(n_triples):
         pool = rng.choice(100_000, size=15, replace=False).astype(np.uint64)
         picks = []
@@ -387,10 +431,12 @@ def check_metric(n_triples: int, seed: int) -> CheckResult:
             if not mask.any():
                 mask[0] = True
             picks.append(pool[mask])
-        x, y, z = (rand_dist(rng, p) for p in picks)
-        d_xy, d_xz, d_yz = (1.0 - similarity.jp(*uv) for uv in ((x, y), (x, z), (y, z)))
-        if d_xy > d_xz + d_yz + 1e-12:
-            violations += 1
+        rows += [_rand_row(rng, p) for p in picks]
+    dists = _dists(rows)
+    x, y, z = dists[0::3], dists[1::3], dists[2::3]
+    jp = similarity._jp_rows(*similarity._aligned_rows(x + x + y, y + z + z))
+    d_xy, d_xz, d_yz = 1.0 - jp.reshape(3, n_triples)
+    violations = int(np.count_nonzero(d_xy > d_xz + d_yz + 1e-12))
     return CheckResult(
         "metric-triangle", violations == 0, f"{n_triples} triples, {violations} violations"
     )

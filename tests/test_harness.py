@@ -31,7 +31,7 @@ from jpminhash.harness import (
 )
 from jpminhash.minhash import signature
 from jpminhash.similarity import jp, jsd, jw, similarity_report, total_variation
-from jpminhash.sparse import SparseDistribution, SparseVector, normalize
+from jpminhash.sparse import SparseDistribution, SparseVector, _distributions, normalize
 from jpminhash.verify import REF_JP, REF_X, REF_Y, rand_dist, sigma_band
 
 
@@ -78,6 +78,34 @@ def test_one_pass_ingest_matches_per_record_normalize():
     # dividing by a negative total must not turn negative weights positive
     with pytest.raises(ValueError, match="positive"):
         corpus_from_records([{"id": "n", "weights": {"x": -1.0, "y": -2.0}}])
+
+
+_BATCH_ROWS = {
+    "end-ids": ([2**64 - 1, 0, 5], [0.25, 0.5, 0.25]),
+    "repeats": ([7, 3, 7, 3, 7], [0.1, 0.2, 0.3, 0.4, 0.5]),
+    "zeros": ([4, 9, 2, 8], [0.0, 1.0, 0.0, 3.0]),
+    "cancel-to-empty": ([6, 6], [1.0, -1.0]),
+    "subnormal": ([1, 2, 3], [1e-310, 3e-310, 2.5e-310]),
+    "huge": ([1, 2, 3], [1e300, 1.7e308, 1e300]),
+    "underflow": ([3, 1, 2], [1e300, 1e-310, 5.0]),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize(
+    "names", [[name] for name in _BATCH_ROWS] + [list(_BATCH_ROWS)], ids=list(_BATCH_ROWS) + ["all"]
+)
+def test_batch_constructor_matches_per_row_normalize(names):
+    rows = [_BATCH_ROWS[name] for name in names]
+    dists, kept = _distributions(
+        np.array([i for ids, _ in rows for i in ids], dtype=np.uint64),
+        np.array([m for _, masses in rows for m in masses], dtype=np.float64),
+        [len(ids) for ids, _ in rows],
+    )
+    vectors = [SparseVector.from_arrays(ids, masses) for ids, masses in rows]
+    assert kept.tolist() == [r for r, v in enumerate(vectors) if len(v)]
+    assert dists == [normalize(v) for v in vectors if len(v)]  # bit for bit, ids and masses
+    assert all(d.ids.dtype == np.uint64 for d in dists)
 
 
 def test_ingest_checks_the_batch_with_the_per_record_message():

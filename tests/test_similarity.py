@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from jpminhash.similarity import (
     _aligned_rows,
+    _d_curve,
     _jp_terms,
     _report_rows,
     adversarial_z,
@@ -247,6 +248,15 @@ def test_bound_curves_endpoints():
         bound_curves(1.5)
     with pytest.raises(ValueError):
         bound_curves(-0.1)
+
+
+def test_bound_curves_bracket_and_share_the_d_curve():
+    ps = np.linspace(0.0, 1.0, 1001)
+    d, lo, hi = np.array([bound_curves(float(p)) for p in ps]).T
+    assert (lo <= hi).all()
+    assert lo[[0, -1]].tolist() == hi[[0, -1]].tolist() == [1.0, 0.0]
+    assert d == pytest.approx(_d_curve(ps), rel=1e-15, abs=0.0)
+    assert ((0.0 <= d) & (d <= 1.0)).all()
 
 
 # --- bound constructions -----------------------------------------------------

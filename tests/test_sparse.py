@@ -46,6 +46,10 @@ def test_from_pairs_merges_and_sorts():
     assert v.entries == ((1, 2.0), (5, 1.5))
     ends = SparseVector.from_pairs([(2**64 - 1, 0.25), (0, 0.75)])
     assert ends.entries == ((0, 0.75), (2**64 - 1, 0.25))
+    # repeats add in input order: (0.1 + 0.2) + 0.3, which differs from 0.1 + (0.2 + 0.3)
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    repeats = SparseVector.from_pairs([(9, 0.1), (1, 1.0), (9, 0.2), (9, 0.3)])
+    assert repeats.entries == ((1, 1.0), (9, (0.1 + 0.2) + 0.3))
 
 
 def test_from_dense_skips_zeros():
