@@ -7,12 +7,16 @@ global bound B on measure/proposal.  For finite measures the stream is
 realized by sorting the per-element exponential keys of the proposal, which
 is distributionally identical to drawing incremental truncated exponentials
 and makes the result coincide exactly, seed by seed, with the sparse sampler
-applied to the measure.  That sort hashes every proposal element up front, so
-on finite measures early termination shortens only the visiting loop and
-saves no hashing: the finite search is the seed-for-seed oracle for
-``pminhash``, not a faster route to it.  Piecewise-constant densities on
-[0, 1) use the incremental form with inverse-CDF position draws, where
-stopping early does save work.  A collision estimate on piecewise densities
+applied to the measure.  The scalar search sorts every key up front and is
+the seed-for-seed oracle for ``pminhash``.  The batched finite search sorts
+only a head of each seed's stream, picked by partition, whose length follows
+from the bound of the normalized measures (a search visits about that many
+proposals); a seed whose search does not stop within its head, or whose head
+ends in a tie with a later arrival, is searched again over its fully sorted
+stream, so samples and iteration counts stay the scalar search's.  A finite
+collision estimate hashes the stream once and shares its head between both
+measures.  Piecewise-constant densities on [0, 1) use the incremental form
+with inverse-CDF position draws.  A collision estimate on piecewise densities
 searches all its seeds in one batch, equal to the scalar search seed by seed
 in sample and iteration count; the batch takes its logs with ``math.log``, as
 the scalar stream does, so that no key depends on numpy's SIMD dispatch.
@@ -298,45 +302,133 @@ def astar_pminhash(
     return AStarResult(sample=best_sample, best_key=best, iterations=iters)
 
 
+def _key_tiles(ids: np.ndarray, lam_vals: np.ndarray, seeds: np.ndarray):
+    """Arrival keys of the stream, one row per element of ``ids``, one column per seed.
+
+    Yields ``(lo, keys)`` per block of about :data:`~jpminhash.hashing.TILE_CELLS`
+    (element, seed) cells, the seeds ``lo:lo + keys.shape[1]``: the block
+    stays in cache whatever large blocks the allocator still holds from
+    earlier work, and no key matrix outlives its block.
+    """
+    step = max(1, TILE_CELLS // ids.shape[0])
+    for lo in range(0, seeds.shape[0], step):
+        u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
+        yield lo, -np.log(u) / lam_vals[:, None]
+
+
+def _stream_head(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, e, tied)``: the ``k`` earliest arrivals of each column of ``keys``.
+
+    They come in stream order: ascending key, ties by row, as a stable sort
+    gives it.  ``k`` is below the number of rows.  The ``k`` smallest keys
+    are picked with a partition and only they are sorted: rows first, then
+    stably by key.  ``tied`` marks columns whose ``k``-th key is shared with
+    a row outside the head, whose head may then hold the wrong one of the
+    tied rows.
+    """
+    picked = np.sort(np.argpartition(keys, k - 1, axis=0)[:k], axis=0)
+    head = np.take_along_axis(keys, picked, axis=0)
+    by_key = np.argsort(head, axis=0, kind="stable")
+    e = np.take_along_axis(head, by_key, axis=0)
+    tied = np.count_nonzero(keys <= e[-1], axis=0) > k
+    return np.take_along_axis(picked, by_key, axis=0), e, tied
+
+
+def _visit(order: np.ndarray, e: np.ndarray, ratio: np.ndarray, b: float):
+    """``(stream_pos, first, stopped)`` of each column's search over a stream head.
+
+    Mirrors :func:`astar_pminhash`: running best, first stopping index
+    (the last row when the search does not stop within the head), and the
+    earliest candidate whose key is the best at that index, which is the
+    first minimum among the visited candidates.
+    """
+    rk = ratio[order]
+    keys = e * rk
+    keys[np.isinf(rk)] = np.inf
+    best = np.minimum.accumulate(keys, axis=0)
+    stop = best <= np.divide(e, b, out=rk)  # rk is not read again: one temporary fewer
+    stopped = stop.any(axis=0)
+    first = np.where(stopped, np.argmax(stop, axis=0), order.shape[0] - 1)
+    arg = np.argmax(keys == best[first, np.arange(first.shape[0])], axis=0)
+    return np.take_along_axis(order, arg[None, :], axis=0)[0], first, stopped
+
+
+def _prefix_len(mu: FiniteMeasure, lam: FiniteMeasure) -> int:
+    """How many arrivals of ``lam``'s stream the batch search for ``mu`` sorts up front.
+
+    A search visits about as many proposals as the bound of the normalized
+    measures, ``B * |lam| / |mu|``; the head holds 16 times that, at least
+    32, and the whole stream once that is no shorter.
+    """
+    (mu, _), (lam, _) = mu._unit, lam._unit
+    b_hat = global_bound(mu, lam) * lam.total / mu.total
+    n = np.count_nonzero(lam.masses)
+    return max(32, 16 * math.ceil(b_hat)) if 16 * b_hat < n else n
+
+
+def _stream_prefix(lam: FiniteMeasure, seeds, k: int):
+    """``(order, e, tied)``: the ``k`` earliest arrivals of each seed's stream of ``lam``.
+
+    Row ``j`` of column ``s`` is the ``j``-th arrival of seed ``s``, as an
+    index into the positive-mass elements of ``lam`` and its key on the
+    unit-scaled proposal; ``tied`` is as in :func:`_stream_head`.  The head
+    reads no target measure, so the searches for every measure against
+    ``lam`` can share it.  ``None`` when ``k`` covers the whole stream,
+    which is then sorted and searched a block at a time instead, so that no
+    full key matrix outlives its block.
+    """
+    lam = lam._unit[0]
+    ids = np.nonzero(lam.masses)[0]
+    if k >= ids.shape[0]:
+        return None
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    order = np.empty((k, seeds.shape[0]), dtype=np.intp)
+    e = np.empty((k, seeds.shape[0]))
+    tied = np.empty(seeds.shape[0], dtype=bool)
+    for lo, keys in _key_tiles(ids, lam.masses[ids], seeds):
+        hi = lo + keys.shape[1]
+        order[:, lo:hi], e[:, lo:hi], tied[lo:hi] = _stream_head(keys, k)
+    return order, e, tied
+
+
 def _astar_many_discrete(
-    mu: FiniteMeasure, lam: FiniteMeasure, seeds
+    mu: FiniteMeasure, lam: FiniteMeasure, seeds, prefix=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched bounded search; returns (samples, iterations) per seed.
 
-    Mirrors :func:`astar_pminhash` exactly: per-seed stream order, running
-    best, first stopping index, argmin among visited candidates.  Seeds are
-    searched in blocks of about :data:`~jpminhash.hashing.TILE_CELLS`
-    (element, seed) cells, which changes no result: the search runs in cache
-    whatever large blocks the allocator still holds from earlier work.
+    Equal to :func:`astar_pminhash` seed for seed in sample and iteration
+    count.  Each seed visits a head of its stream: ``prefix``, made by
+    :func:`_stream_prefix` from the same ``lam`` and ``seeds``, or else a
+    head as long as :func:`_prefix_len` gives.  A search stops after about
+    the normalized bound's number of proposals, so the head spares sorting
+    the rest of the stream.  A seed whose search does not stop within its
+    head, or whose head may not be its stream's (``tied``), is searched
+    again over its fully sorted stream, as is every seed when the head
+    would be the whole stream.
     """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if prefix is None:
+        prefix = _stream_prefix(lam, seeds, _prefix_len(mu, lam))
     (mu, _), (lam, _) = mu._unit, lam._unit
     b = global_bound(mu, lam)
-    seeds = np.asarray(seeds, dtype=np.uint64)
     ids = np.nonzero(lam.masses)[0]
     lam_vals, mu_vals = lam.masses[ids], mu.masses[ids]
     with np.errstate(divide="ignore"):
         ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
-    samples = np.empty(seeds.shape[0], dtype=ids.dtype)
-    iterations = np.empty(seeds.shape[0], dtype=np.intp)
-    step = max(1, TILE_CELLS // ids.shape[0])
-    for lo in range(0, seeds.shape[0], step):
-        u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
-        lam_keys = -np.log(u) / lam_vals[:, None]
-        order = np.argsort(lam_keys, axis=0, kind="stable")
-        e = np.take_along_axis(lam_keys, order, axis=0)
-        rk = ratio[order]
-        keys = np.where(np.isinf(rk), np.inf, e * rk)
-        best = np.minimum.accumulate(keys, axis=0)
-        stop = best <= e / b
-        first = np.argmax(stop, axis=0)
-        first = np.where(stop.any(axis=0), first, ids.shape[0] - 1)
-        visited = np.arange(ids.shape[0])[:, None] <= first[None, :]
-        masked = np.where(visited, keys, np.inf)
-        arg = np.argmin(masked, axis=0)
-        stream_pos = np.take_along_axis(order, arg[None, :], axis=0)[0]
-        samples[lo : lo + step] = ids[stream_pos]
-        iterations[lo : lo + step] = first + 1
-    return samples, iterations
+    if prefix is None:  # the head would be the whole stream
+        redo = np.arange(seeds.shape[0])
+        pos, iterations = np.empty_like(redo), np.empty_like(redo)
+    else:
+        order, e, tied = prefix
+        pos, first, stopped = _visit(order, e, ratio, b)
+        iterations = first + 1
+        redo = np.nonzero(tied | ~stopped)[0]
+    for lo, keys in _key_tiles(ids, lam_vals, seeds[redo]):
+        at = redo[lo : lo + keys.shape[1]]
+        order = np.argsort(keys, axis=0, kind="stable")
+        pos[at], first, _ = _visit(order, np.take_along_axis(keys, order, axis=0), ratio, b)
+        iterations[at] = first + 1
+    return ids[pos], iterations
 
 
 def _astar_many_piecewise(
@@ -407,8 +499,10 @@ def astar_collision(
         raise ValueError("n must be positive")
     if not (isinstance(mu, type(lam)) and isinstance(nu, type(lam))):
         raise ValueError("measure and proposal must be of the same kind")
-    search = _astar_many_discrete if isinstance(lam, FiniteMeasure) else _astar_many_piecewise
     seeds = derive_seed_vec(base_seed, np.arange(n))
-    a, _ = search(mu, lam, seeds)
-    b, _ = search(nu, lam, seeds)
+    if isinstance(lam, FiniteMeasure):  # one head of the proposal stream serves both searches
+        prefix = _stream_prefix(lam, seeds, max(_prefix_len(mu, lam), _prefix_len(nu, lam)))
+        a, b = (_astar_many_discrete(m, lam, seeds, prefix)[0] for m in (mu, nu))
+    else:
+        a, b = (_astar_many_piecewise(m, lam, seeds)[0] for m in (mu, nu))
     return float(np.mean(a == b))

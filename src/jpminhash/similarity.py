@@ -25,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .sparse import Partition, SparseDistribution, SparseVector, _kept_bounds, _scale_rows
+from .sparse import (
+    Partition,
+    SparseDistribution,
+    SparseVector,
+    _kept_bounds,
+    _row_id_groups,
+    _scale_rows,
+)
 
 __all__ = [
     "PerTermDecomposition",
@@ -61,12 +68,21 @@ def _aligned_rows(
     """Every pair ``(xs[r], ys[r])`` aligned, packed row after row: ``(ux, uy, bounds)``.
 
     Row r is ``[bounds[r], bounds[r + 1])`` and holds the mass arrays that
-    ``_aligned(xs[r], ys[r])`` returns.
+    ``_aligned(xs[r], ys[r])`` returns.  Both sides' entries are grouped at
+    once by (row, id), with the sort :func:`~jpminhash.sparse._merge` uses.
     """
-    rows = [_aligned(x, y)[1:] for x, y in zip(xs, ys)]
-    bounds = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum([ux.shape[0] for ux, _ in rows], out=bounds[1:])
-    ux, uy = (np.concatenate(side) for side in zip(*rows))
+    vectors = [*xs, *ys]
+    lens = np.array([len(v) for v in vectors], dtype=np.intp)
+    rows = np.repeat(np.arange(lens.shape[0]) % len(xs), lens)
+    order, first = _row_id_groups(np.concatenate([v.ids for v in vectors]), rows)
+    slot = np.cumsum(first) - 1
+    from_y = order >= lens[: len(xs)].sum()
+    masses = np.concatenate([v.masses for v in vectors])
+    ux, uy = np.zeros(np.count_nonzero(first)), np.zeros(np.count_nonzero(first))
+    ux[slot[~from_y]] = masses[order[~from_y]]
+    uy[slot[from_y]] = masses[order[from_y]]
+    bounds = np.zeros(len(xs) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows[order[first]], minlength=len(xs)), out=bounds[1:])
     return ux, uy, bounds
 
 

@@ -149,14 +149,25 @@ def _check_masses(ids: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
 
 
-def _merge(ids: np.ndarray, masses: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(ids, masses, rows)`` sorted by (row, id); an id's repeats in a row add in input order."""
+def _row_id_groups(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, first)``: the stable order of entries by (row, id), and where each (row, id) starts.
+
+    ``first`` is over the sorted entries, true at the first entry of each
+    distinct (row, id).
+    """
     order = np.lexsort((ids, rows))
     ids, rows = ids[order], rows[order]
     first = np.ones(ids.shape[0], dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    return order, first
+
+
+def _merge(ids: np.ndarray, masses: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(ids, masses, rows)`` sorted by (row, id); an id's repeats in a row add in input order."""
+    order, first = _row_id_groups(ids, rows)
     masses = np.bincount(np.cumsum(first) - 1, weights=masses[order], minlength=int(first.sum()))
-    return ids[first], masses, rows[first]
+    kept = order[first]
+    return ids[kept], masses, rows[kept]
 
 
 def _kept_bounds(keep: np.ndarray, bounds) -> np.ndarray:

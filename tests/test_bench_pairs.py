@@ -1,0 +1,51 @@
+"""The pair summary of ``tools/bench_pairs.py``, on handcrafted result rows."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _row(side, seed, **metrics):
+    return {"side": side, "workload": "w", "seed": seed, "seconds": 45, "trace": 0,
+            "result": {"correct": True, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}}
+
+
+def test_summary_counts_pairs_won_in_each_direction():
+    rows = []
+    # alternating run order; seed 4 ties on both metrics
+    for seed, (rate_p, rate_c), (ms_p, ms_c) in [
+        (1, (10.0, 12.0), (5.0, 4.0)),
+        (2, (11.0, 10.0), (6.0, 3.0)),
+        (3, (9.0, 15.0), (4.0, 5.0)),
+        (4, (10.0, 10.0), (5.0, 5.0)),
+        (5, (12.0, 14.0), (7.0, 2.0)),
+    ]:
+        sides = [("parent", rate_p, ms_p), ("change", rate_c, ms_c)]
+        for side, rate, ms in sides if seed % 2 else sides[::-1]:
+            rows.append(_row(side, seed, rate=rate, ms=ms, unlisted=1.0))
+    rows.append(_row("parent", 6, rate=100.0, ms=100.0))  # no change run: no pair
+    lines = _tool().summarize(rows, {"rate": "higher", "ms": "lower", "absent": "lower"})
+    assert lines == [
+        {"metric": "rate", "better": "higher", "pairs": 5, "won": 3,
+         "parent": (10.0, 10.0, 11.0), "change": (10.0, 12.0, 14.0)},
+        {"metric": "ms", "better": "lower", "pairs": 5, "won": 3,
+         "parent": (5.0, 5.0, 6.0), "change": (3.0, 4.0, 5.0)},
+    ]
+
+
+def test_summary_of_one_pair_and_of_repeated_seeds():
+    rows = [_row("parent", 1, ms=2.0), _row("change", 1, ms=1.0),
+            _row("change", 1, ms=3.0), _row("parent", 1, ms=2.5)]
+    (line,) = _tool().summarize(rows, {"ms": "lower"})
+    assert (line["pairs"], line["won"]) == (2, 1)
+    (line,) = _tool().summarize(rows[:2], {"ms": "lower"})
+    assert line["parent"] == (2.0, 2.0, 2.0) and line["change"] == (1.0, 1.0, 1.0)

@@ -12,6 +12,9 @@ from jpminhash.dense import (
     PiecewiseDensity,
     _astar_many_discrete,
     _astar_many_piecewise,
+    _stream_head,
+    _stream_prefix,
+    _visit,
     astar_collision,
     astar_pminhash,
     global_bound,
@@ -36,6 +39,19 @@ PW_MU_FINE = PiecewiseDensity((0.0, 0.125, 0.5, 0.8, 1.0), (1.6, 1.6, 0.4, 0.4))
 PW_NU_FINE = PiecewiseDensity((0.0, 0.25, 0.5, 1.0), (0.4, 0.4, 1.6))
 PW_UNIFORM = PiecewiseDensity((0.0, 1.0), (1.0,))
 PW_SKEWED = PiecewiseDensity((0.0, 0.5, 1.0), (0.8, 1.2))
+
+
+def _mixture(n: int, seed: int) -> tuple[FiniteMeasure, FiniteMeasure, FiniteMeasure]:
+    """Two overlapping measures with zeros, and their normalized mixture plus a floor as proposal.
+
+    A search against this proposal stops after a few proposals, so the
+    batch search sorts only a short head of each stream.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.exponential(size=n)
+    mu, nu = (base * rng.uniform(0.5, 1.5, n) * (rng.random(n) >= 0.1) for _ in range(2))
+    lam = 0.5 * (mu / mu.sum() + nu / nu.sum()) + 0.1 / n
+    return FiniteMeasure(mu), FiniteMeasure(nu), FiniteMeasure(lam)
 
 
 # --- types -------------------------------------------------------------------
@@ -208,15 +224,19 @@ def test_early_termination_sound():
 
 def test_batch_search_matches_scalar():
     # 300 seeds over 3 elements fit one block; 70 seeds over 1000 span three;
-    # alpha scales measure and proposal to subnormal and near-overflow masses
+    # alpha scales measure and proposal to subnormal and near-overflow masses.
+    # 40 seeds over the 2000-element mixture span three blocks, and there the
+    # batch sorts only a head of each stream (a fallback test is below).
     wide = np.linspace(1.0, 3.0, 1000) / 2000.0
+    mix, _, mix_lam = _mixture(2000, 7)
     cases = [
         (FiniteMeasure(REF_MU.masses * alpha), FiniteMeasure(UNIFORM3.masses * alpha), 300)
         for alpha in (1.0, 1e-310, 1e300)
     ] + [
         (FiniteMeasure(wide * alpha), FiniteMeasure(np.full(1000, alpha)), 70)
         for alpha in (1.0, 1e-310, 1e300)
-    ]
+    ] + [(mix, mix_lam, 40)]
+    assert 40 > 2 * TILE_CELLS // 2000
     for mu, lam, count in cases:
         seeds = derive_seed_vec(99, np.arange(count))
         samples, iters = _astar_many_discrete(mu, lam, seeds)
@@ -224,6 +244,68 @@ def test_batch_search_matches_scalar():
             res = astar_pminhash(mu, lam, int(s))
             assert res.sample == int(samples[i])
             assert res.iterations == int(iters[i])
+
+
+def test_stream_head_flags_a_tie_at_its_last_key():
+    # columns: a tie at the 3rd key reaching past the head; a tie inside the
+    # head; no tie; an infinite 3rd key, shared with every later arrival
+    inf = math.inf
+    keys = np.array([
+        [3.0, 1.0, 6.0, inf],
+        [1.0, 1.0, 5.0, 0.0],
+        [2.0, 1.0, 4.0, inf],
+        [2.0, 4.0, 3.0, inf],
+        [5.0, 5.0, 2.0, 1.0],
+        [2.0, 6.0, 1.0, inf],
+    ])
+    order, e, tied = _stream_head(keys, 3)
+    assert tied.tolist() == [True, False, False, True]
+    whole = np.argsort(keys, axis=0, kind="stable")
+    assert np.array_equal(order[:, ~tied], whole[:3, ~tied])
+    assert np.array_equal(e, np.take_along_axis(keys, whole[:3], axis=0))  # even at a tie
+    # a search decided within an untied head is the search over the full sort
+    ratio = np.array([1.0, 3.0, 0.5, 2.0, 1.0, 1.5])
+    head = _visit(order, e, ratio, 2.0)
+    full = _visit(whole, np.take_along_axis(keys, whole, axis=0), ratio, 2.0)
+    decided = head[2] & ~tied
+    assert decided.sum() == 2
+    for got, want in zip(head, full):
+        assert np.array_equal(got[decided], want[decided])
+
+
+def test_stream_prefix_fallbacks_equal_the_full_sort():
+    # a head of 2 arrivals: many searches do not stop within it and rerun
+    # over the full sort
+    mu, nu, lam = _mixture(2000, 8)
+    seeds = derive_seed_vec(5, np.arange(40))
+    scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
+    samples, iters = _astar_many_discrete(mu, lam, seeds, _stream_prefix(lam, seeds, 2))
+    assert (iters > 2).sum() >= 10
+    assert samples.tolist() == [r.sample for r in scalar]
+    assert iters.tolist() == [r.iterations for r in scalar]
+    # subnormal proposal masses give infinite keys, all tied: a head of 3
+    # holds the 2 finite ones and a tied infinite one
+    mu = FiniteMeasure(np.linspace(1.0, 2.0, 8))
+    lam = FiniteMeasure((1.0, 1.0) + (1e-320,) * 6)
+    seeds = derive_seed_vec(6, np.arange(50))
+    with np.errstate(over="ignore", invalid="ignore"):  # the keys overflow, as intended
+        prefix = _stream_prefix(lam, seeds, 3)
+        samples, iters = _astar_many_discrete(mu, lam, seeds, prefix)
+        scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
+    assert prefix[2].all()
+    assert samples.tolist() == [r.sample for r in scalar]
+    assert iters.tolist() == [r.iterations for r in scalar]
+
+
+def test_collision_shares_one_stream_head():
+    # astar_collision sorts one head of the proposal stream for both measures;
+    # two searches that build their own heads reach the same estimate
+    mu, nu, lam = _mixture(2000, 9)
+    n = 300
+    seeds = derive_seed_vec(11, np.arange(n))
+    a, _ = _astar_many_discrete(mu, lam, seeds)
+    b, _ = _astar_many_discrete(nu, lam, seeds)
+    assert astar_collision(mu, nu, lam, 11, n) == float(np.mean(a == b))
 
 
 def test_search_marginal_law():

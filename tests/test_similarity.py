@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpminhash.similarity import (
+    _aligned,
     _aligned_rows,
     _d_curve,
     _jp_terms,
@@ -424,6 +425,31 @@ def test_row_batch_equals_each_pair_exactly():
     assert _jp_terms(ux, uy, bounds).tolist() == [
         t for x, y in zip(xs, ys) for _, t in jp_terms(x, y).terms
     ]
+
+
+def test_aligned_rows_equal_each_pair_alignment():
+    # the batch groups both sides' entries by (row, id) in one sort; each row
+    # must be the per-pair alignment, at the extreme ids, on disjoint and
+    # identical supports, and with an empty side
+    top = 2**64 - 1
+    rng = np.random.default_rng(12)
+    pairs = [([0], [top]), ([0, top], [0, top]), ([0, 5], [5, top]), ([1, 2, 3], [4, 5]),
+             ([top], [top]), ([7], [0, 7, top]), ([], [3, top]), ([0], [])]
+    for _ in range(200):
+        pool = np.array([0, 1, 2, 9, 2**63, top - 1, top], dtype=np.uint64)
+        pairs.append(tuple(pool[rng.random(7) < 0.5].tolist() for _ in range(2)))
+    xs, ys = (
+        [SparseVector.from_arrays(np.array(ids, dtype=np.uint64), rng.uniform(0.5, 2.0, len(ids)))
+         for ids in side]
+        for side in zip(*pairs)
+    )
+    ux, uy, bounds = _aligned_rows(xs, ys)
+    assert bounds[0] == 0 and bounds[-1] == ux.shape[0] == uy.shape[0]
+    assert ux.dtype == uy.dtype == np.float64 and bounds.dtype == np.intp
+    for r, (x, y) in enumerate(zip(xs, ys)):
+        _, ex, ey = _aligned(x, y)
+        lo, hi = bounds[r], bounds[r + 1]
+        assert np.array_equal(ux[lo:hi], ex) and np.array_equal(uy[lo:hi], ey)
 
 
 def test_coarsening_never_decreases_jp():

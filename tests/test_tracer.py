@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
-from jpminhash import cli, minhash
+import numpy as np
+
+from jpminhash import cli, dense, minhash
+from jpminhash.hashing import derive_seed_vec
 from jpminhash.harness import corpus_from_records, synth_pairs
 from jpminhash.verify import REF_X, REF_Y
 
@@ -81,3 +84,21 @@ def test_tracer_counts_the_buckets_of_a_read_index(monkeypatch, tmp_path):
     assert t.counts["harness.buckets"] == len(sizes)
     assert t.counts["harness.bucket_size_max"] == max(sizes) > 1
     assert t.counts["io.index_bytes"] == index.stat().st_size
+
+
+def test_tracer_counts_one_shared_stream_for_a_finite_collision(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import tracer
+
+    support, n, base = 300, 200, 12
+    mu, nu, lam = inputs.make_finite_measures(5, support)
+    assert int((lam.masses > 0.0).sum()) == support
+    seeds = derive_seed_vec(base, np.arange(n)).tolist()
+    iterations = sum(dense.astar_pminhash(m, lam, s).iterations for m in (mu, nu) for s in seeds)
+    with tracer.Tracer() as t:
+        dense.astar_collision(mu, nu, lam, base, n)
+    # one batch search per measure, over one hashed stream for both
+    assert t.counts["dense.samples"] == 2 * n
+    assert t.counts["dense.finite_iterations"] == iterations
+    assert t.counts["hashing.uniform_hash_vec.elements"] == support * n

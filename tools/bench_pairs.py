@@ -14,7 +14,10 @@ after the other, and swaps which side goes first from one seed to the next.  Eac
 line of the ``--out`` JSON list, ``{"side", "workload", "seed", "seconds",
 "trace", "result"}``, where ``result`` is the last stdout line of
 ``perfbench/run.py``.  Lines already in ``--out`` are kept, and the file is
-rewritten after every run.  It prints the medians of both sides at the end.
+rewritten after every run.  At the end it prints, for each end-to-end metric
+of ``BENCHMARK.json``, both sides' quartiles over this invocation's runs and
+how many of its pairs the change won in the metric's ``better`` direction
+(a tie counts for neither side).
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _pairs(args: argparse.Namespace, workdir: Path) -> int:
-    """Run the pairs with the parent tree under ``workdir``; print the medians."""
+    """Run the pairs with the parent tree under ``workdir``; print their summary."""
     sides = {"parent": _export(args.parent, workdir), "change": ROOT}
     rows = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else []
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
@@ -112,14 +115,52 @@ def _pairs(args: argparse.Namespace, workdir: Path) -> int:
             print(f"seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
                   flush=True)
 
-    new = rows[len(rows) - 2 * len(args.seeds):]
-    for name in new[0]["result"]["metrics"]:
-        medians = [statistics.median(r["result"]["metrics"][name]["value"]
-                                     for r in new if r["side"] == side)
-                   for side in ("parent", "change")]
-        print(f"{name:<40} {medians[0]:>14.6g} -> {medians[1]:<14.6g}")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+    for line in summarize(rows[len(rows) - 2 * len(args.seeds):], better):
+        quartiles = ["/".join(f"{v:.6g}" for v in line[side]) for side in ("parent", "change")]
+        print(f"{line['metric']:<28} {quartiles[0]:>28} -> {quartiles[1]:<28} "
+              f"won {line['won']}/{line['pairs']} ({line['better']} is better)")
     return 0
 
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), interpolated between the sorted values."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(rows: list[dict], better: dict[str, str]) -> list[dict]:
+    """Per metric of ``better``: both sides' quartiles and the pairs the change won.
+
+    ``rows`` are ``--out`` lines; a pair is a parent run and a change run of
+    one workload and seed, matched in the order they appear.  ``better``
+    maps a metric name to ``"higher"`` or ``"lower"``.  Each line is
+    ``{"metric", "better", "pairs", "won", "parent", "change"}``, where
+    ``parent`` and ``change`` are quartile triples; an equal pair counts as
+    won by neither side, and a metric no pair reports is left out.
+    """
+    runs: dict[tuple, dict[str, list[dict]]] = {}
+    for row in rows:
+        sides = runs.setdefault((row["workload"], row["seed"]), {"parent": [], "change": []})
+        sides[row["side"]].append(row["result"]["metrics"])
+    pairs = [pair for sides in runs.values() for pair in zip(sides["parent"], sides["change"])]
+    lines = []
+    for name, direction in better.items():
+        values = [(p[name]["value"], c[name]["value"]) for p, c in pairs if name in p and name in c]
+        if not values:
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        lines.append({
+            "metric": name,
+            "better": direction,
+            "pairs": len(values),
+            "won": sum(sign * (c - p) > 0.0 for p, c in values),
+            "parent": _quartiles([p for p, _ in values]),
+            "change": _quartiles([c for _, c in values]),
+        })
+    return lines
 
 if __name__ == "__main__":
     sys.exit(main())
