@@ -176,7 +176,8 @@ def global_bound(mu: Measure, lam: Measure) -> float:
     pos = m > 0.0
     if (l[pos] == 0.0).any():
         raise ValueError("unbounded ratio")
-    return float(np.max(m[pos] / l[pos]))
+    with np.errstate(over="ignore"):  # a ratio past the float range is an infinite, valid bound
+        return float(np.max(m[pos] / l[pos]))
 
 
 def _unit_scaled(m: Measure) -> tuple[Measure, int]:
@@ -239,7 +240,8 @@ def proposal_stream(lam: Measure, seed: int) -> Iterator[tuple[int | float, floa
         scaled, exp = lam._unit
         ids = np.nonzero(scaled.masses)[0]
         u = uniform_hash_vec(ids.astype(np.uint64), np.uint64(seed))
-        keys = -np.log(u) / scaled.masses[ids]
+        with np.errstate(over="ignore"):  # a key past the float range arrives last, at inf
+            keys = -np.log(u) / scaled.masses[ids]
         for j in np.argsort(keys, kind="stable"):
             yield int(ids[j]), _ldexp_or_inf(float(keys[j]), -exp)
         return
@@ -313,7 +315,9 @@ def _key_tiles(ids: np.ndarray, lam_vals: np.ndarray, seeds: np.ndarray):
     step = max(1, TILE_CELLS // ids.shape[0])
     for lo in range(0, seeds.shape[0], step):
         u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
-        yield lo, -np.log(u) / lam_vals[:, None]
+        with np.errstate(over="ignore"):  # as in proposal_stream
+            keys = -np.log(u) / lam_vals[:, None]
+        yield lo, keys
 
 
 def _stream_head(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,10 +347,13 @@ def _visit(order: np.ndarray, e: np.ndarray, ratio: np.ndarray, b: float):
     first minimum among the visited candidates.
     """
     rk = ratio[order]
-    keys = e * rk
-    keys[np.isinf(rk)] = np.inf
-    best = np.minimum.accumulate(keys, axis=0)
-    stop = best <= np.divide(e, b, out=rk)  # rk is not read again: one temporary fewer
+    # Keys may overflow to inf, and an infinite arrival under an infinite
+    # bound gives nan, which stops no search; the scalar search's floats agree.
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = e * rk
+        keys[np.isinf(rk)] = np.inf
+        best = np.minimum.accumulate(keys, axis=0)
+        stop = best <= np.divide(e, b, out=rk)  # rk is not read again: one temporary fewer
     stopped = stop.any(axis=0)
     first = np.where(stopped, np.argmax(stop, axis=0), order.shape[0] - 1)
     arg = np.argmax(keys == best[first, np.arange(first.shape[0])], axis=0)

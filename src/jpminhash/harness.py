@@ -82,12 +82,61 @@ def token_element_id(token: str) -> int:
     return h
 
 
+# Live tokens below which a word column costs more as one fin64_vec call
+# than folded token by token as Python ints.
+_FOLD_ROWS = 16
+
+
+def _token_ids(tokens: Sequence[str]) -> np.ndarray:
+    """:func:`token_element_id` of every token, as one uint64 array.
+
+    The tokens' UTF-8 bytes lie end to end, each zero-padded to whole 8-byte
+    little-endian words, and one fold runs word column by word column over
+    the tokens that still have a word there; sorted longest first, those
+    are a prefix.  Once fewer than ``_FOLD_ROWS`` tokens are left, their
+    remaining words are folded as Python ints, so a very long token costs
+    about what :func:`token_element_id` takes.
+    """
+    data = [b.ljust((len(b) + 7) & -8, b"\0") for b in map(str.encode, tokens)]
+    words = np.frombuffer(b"".join(data), dtype="<u8")
+    n_words = np.fromiter(map(len, data), dtype=np.intp, count=len(data)) // 8
+    first = np.cumsum(n_words) - n_words  # each token's first word
+    order = np.argsort(-n_words, kind="stable")
+    first, n_words = first[order], n_words[order]
+    # live[j]: how many tokens have a word j, which never grows with j
+    live = np.searchsorted(-n_words, -np.arange(n_words[0] if n_words.size else 0), side="left")
+    cols = int(np.count_nonzero(live >= _FOLD_ROWS))
+    h = np.zeros(len(data), dtype=np.uint64)
+    for j, n in enumerate(live[:cols].tolist()):
+        h[:n] = fin64_vec(h[:n] ^ words[first[:n] + j])
+    for i in range(int(live[cols]) if cols < live.shape[0] else 0):
+        z = int(h[i])
+        for w in words[first[i] + cols : first[i] + n_words[i]].tolist():
+            z = fin64(z ^ w)
+        h[i] = z
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
 _TOKEN = re.compile(r"[^\W_]+")  # runs of code points where str.isalnum() holds
+
+# ASCII bytes the pattern does not match, mapped to a space
+_ASCII_SEPARATORS = bytes(c if c < 128 and _TOKEN.match(chr(c)) else 32 for c in range(256))
 
 
 def _tokenize(text: str) -> list[str]:
-    """Lowercase, split on any non-alphanumeric code point, drop empties."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase, split on any non-alphanumeric code point, drop empties.
+
+    The tokens are ``_TOKEN.findall(text.lower())``.  Lowercased text that
+    is all ASCII is split by a byte translation instead, which finds the
+    same runs; ASCII is checked after lowercasing because some non-ASCII
+    letters, such as the Kelvin sign, lowercase to ASCII.
+    """
+    low = text.lower()
+    if low.isascii():
+        return low.encode("ascii").translate(_ASCII_SEPARATORS).decode("ascii").split()
+    return _TOKEN.findall(low)
 
 
 def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[Document], int]:
@@ -106,7 +155,8 @@ def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[D
         tokens.extend(w)
         weights.extend(w.values())
         row_len.append(len(w))
-    element = {t: token_element_id(t) for t in set(tokens)}
+    distinct = list(set(tokens))
+    element = dict(zip(distinct, _token_ids(distinct).tolist()))
     ids = np.fromiter(map(element.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
     dists, kept = _distributions(ids, np.array(weights, dtype=np.float64), row_len)
     corpus = [Document(doc_ids[r], dist) for r, dist in zip(kept.tolist(), dists)]
@@ -333,16 +383,29 @@ class InvertedIndex:
 
 
 def index_build(corpus: Sequence[Document], scheme: BandingScheme) -> InvertedIndex:
-    """Deterministically index a corpus under a banding scheme."""
+    """Deterministically index a corpus under a banding scheme.
+
+    Buckets come in (band, key) order, each listing its documents in corpus
+    order: one stable sort of every band's keys groups them.
+    """
     if not corpus:
         raise ValueError("corpus is empty")
     samples = batch_signatures([d.dist for d in corpus], scheme.base_seed, scheme.k)
-    keys = _band_keys_matrix(samples, scheme.a, scheme.o, scheme.base_seed)
-    buckets: dict[tuple[int, int], list[str]] = {}
-    for doc, row in zip(corpus, keys.tolist()):
-        for b, key in enumerate(row):
-            buckets.setdefault((b, key), []).append(doc.doc_id)
-    return InvertedIndex({k: tuple(v) for k, v in buckets.items()}, scheme)
+    keys = _band_keys_matrix(samples, scheme.a, scheme.o, scheme.base_seed).T  # (o, n)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1).ravel()
+    starts = np.ones(keys.shape[0], dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    starts[:: len(corpus)] = True  # each band starts a bucket
+    starts = np.flatnonzero(starts)
+    doc_ids = [d.doc_id for d in corpus]
+    docs = tuple(map(doc_ids.__getitem__, order.ravel().tolist()))
+    bands, ends = (starts // len(corpus)).tolist(), starts.tolist()[1:] + [keys.shape[0]]
+    buckets = {
+        (b, key): docs[lo:hi]
+        for b, key, lo, hi in zip(bands, keys[starts].tolist(), starts.tolist(), ends)
+    }
+    return InvertedIndex(buckets, scheme)
 
 
 def query(index: InvertedIndex, dist: SparseDistribution) -> set[str]:

@@ -13,6 +13,7 @@ import math
 import operator
 import re
 from collections.abc import Mapping
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -206,7 +207,9 @@ def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
 
     Each line is what ``json.dumps`` writes for the same object; the bucket
     lines are formatted directly, which is the form the reader's fast path
-    recognises.
+    recognises, from each distinct doc id ``json.dumps``-encoded once.
+    :func:`~jpminhash.harness.index_build` yields its buckets in this
+    order already, which the sort then checks in one pass.
     """
     scheme = index.scheme
     lines = [
@@ -214,9 +217,11 @@ def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
             {"v": 1, "kind": "index", "a": scheme.a, "o": scheme.o, "seed": str(scheme.base_seed)}
         )
     ]
+    buckets = sorted(index.buckets.items())
+    enc = {d: json.dumps(d) for d in set(chain.from_iterable(docs for _, docs in buckets))}
     lines.extend(
-        '{"band": %d, "key": "%d", "docs": %s}' % (band, key, json.dumps(docs))
-        for (band, key), docs in sorted(index.buckets.items())
+        '{"band": %d, "key": "%d", "docs": [%s]}' % (band, key, ", ".join(map(enc.__getitem__, docs)))
+        for (band, key), docs in buckets
     )
     _write_text(path, lines)
 
@@ -370,7 +375,8 @@ def read_corpus_jsonl(path: str | Path) -> list[dict]:
     """Raw corpus records: each line needs 'id' plus 'text' or 'weights'.
 
     'id' and 'text' must be strings; 'weights' an object of finite
-    non-negative numbers.
+    non-negative numbers whose keys encode to UTF-8, which a key holding a
+    lone surrogate (a valid JSON escape) does not.
     """
     records = []
     for lineno, obj in _json_lines(path):
@@ -391,6 +397,10 @@ def _check_weights(weights, path: str | Path, lineno: int) -> None:
     if not isinstance(weights, dict):
         raise ValueError(f"{path}:{lineno}: 'weights' must be a JSON object")
     for token, w in weights.items():
+        try:
+            token.encode("utf-8")  # what a token's element id is hashed from
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}:{lineno}: weight key {token!r} is not valid UTF-8") from None
         try:
             ok = 0.0 <= float(w) < math.inf
         except (TypeError, ValueError, OverflowError):

@@ -1,6 +1,7 @@
 """The pair summary of ``tools/bench_pairs.py``, on handcrafted result rows."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -49,3 +50,23 @@ def test_summary_of_one_pair_and_of_repeated_seeds():
     assert (line["pairs"], line["won"]) == (2, 1)
     (line,) = _tool().summarize(rows[:2], {"ms": "lower"})
     assert line["parent"] == (2.0, 2.0, 2.0) and line["change"] == (1.0, 1.0, 1.0)
+
+
+def test_exit_status_names_the_incorrect_and_failed_runs(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    outcomes = {(1, "parent"): (True, 0), (1, "change"): (False, 0),
+                (2, "parent"): (True, 3), (2, "change"): (True, 0)}
+    sides = {tmp_path / "parent": "parent", tool.ROOT: "change"}
+
+    def run(checkout, workload, seed, seconds, trace):
+        correct, failed = outcomes[seed, sides[checkout]]
+        return {"correct": correct, "failed": failed, "metrics": {}}
+
+    monkeypatch.setattr(tool, "_export", lambda rev, workdir: tmp_path / "parent")
+    monkeypatch.setattr(tool, "_run", run)
+    argv = ["--parent", "HEAD", "--workload", "w", "--out", str(tmp_path / "bench.json")]
+    assert tool.main(argv + ["--seeds", "1-2"]) == 1
+    assert capsys.readouterr().err == "bench_pairs: incorrect or failed runs: seed 1 change, seed 2 parent\n"
+    outcomes.update({(1, "change"): (True, 0), (2, "parent"): (True, 0)})
+    assert tool.main(argv + ["--seeds", "1-2"]) == 0
+    assert len(json.loads((tmp_path / "bench.json").read_text())) == 8  # failed runs are kept too

@@ -288,13 +288,25 @@ def test_stream_prefix_fallbacks_equal_the_full_sort():
     mu = FiniteMeasure(np.linspace(1.0, 2.0, 8))
     lam = FiniteMeasure((1.0, 1.0) + (1e-320,) * 6)
     seeds = derive_seed_vec(6, np.arange(50))
-    with np.errstate(over="ignore", invalid="ignore"):  # the keys overflow, as intended
-        prefix = _stream_prefix(lam, seeds, 3)
-        samples, iters = _astar_many_discrete(mu, lam, seeds, prefix)
-        scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
+    prefix = _stream_prefix(lam, seeds, 3)  # the keys overflow, as intended, and warn of nothing
+    samples, iters = _astar_many_discrete(mu, lam, seeds, prefix)
+    scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
     assert prefix[2].all()
     assert samples.tolist() == [r.sample for r in scalar]
     assert iters.tolist() == [r.iterations for r in scalar]
+    # masses spanning more than 2**1022: the bound (first case) or a key
+    # ratio (second) overflows to inf, still a valid one
+    seeds = derive_seed_vec(3, np.arange(50))
+    for mu, lam in [
+        ((1.0, 1.0, 1.0, 1.0), (1.0, 1e-320, 1.0, 1.0)),
+        ((1.0, 1e-310, 1.0), (1.0, 1e-200, 1.0)),
+    ]:
+        mu, lam = FiniteMeasure(mu), FiniteMeasure(lam)
+        samples, iters = _astar_many_discrete(mu, lam, seeds)
+        scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
+        assert samples.tolist() == [r.sample for r in scalar]
+        assert iters.tolist() == [r.iterations for r in scalar]
+        assert astar_collision(mu, mu, lam, 3, 50) == 1.0
 
 
 def test_collision_shares_one_stream_head():

@@ -1,12 +1,16 @@
 """Corpus ingestion, synthetic pairs, banding, curves, divergence reports."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jpminhash import harness
 from jpminhash.harness import (
     DEFAULT_GRID,
     BandingScheme,
@@ -29,7 +33,8 @@ from jpminhash.harness import (
     token_element_id,
     _tokenize,
 )
-from jpminhash.minhash import signature
+from jpminhash.hashing import fin64_vec
+from jpminhash.minhash import batch_signatures, signature
 from jpminhash.similarity import jp, jsd, jw, similarity_report, total_variation
 from jpminhash.sparse import SparseDistribution, SparseVector, _distributions, normalize
 from jpminhash.verify import REF_JP, REF_X, REF_Y, rand_dist, sigma_band
@@ -142,6 +147,70 @@ def test_token_ids_stable_and_distinct():
     assert token_element_id("alpha") == token_element_id("alpha")
     words = ["a", "b", "ab", "ba", "alphabetical", "alphabetically"]
     assert len({token_element_id(w) for w in words}) == len(words)
+
+
+# ASCII with every punctuation mark, "_", digits and control characters
+_ASCII_TEXT = st.text(st.characters(max_codepoint=127) | st.sampled_from("_ \t\n\x00\x1f\x7fAz09"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ASCII_TEXT)
+@example("\u212a")  # the Kelvin sign lowercases to ASCII "k"
+@example("\u0130stanbul")  # "\u0130" lowercases to "i" and a combining dot
+@example("Stra\xdfe_\u0391\u03b8\u03ae\u03bd\u03b1 MOSKVA-\u041c\u043e\u0441\u043a\u0432\u0430 x2 \u65e5\u672c\u8a9e\ud800y")
+def test_tokenize_equals_the_pattern(text):
+    assert _tokenize(text) == harness._TOKEN.findall(text.lower())
+
+
+def test_vector_token_ids_equal_the_scalar_fold(monkeypatch):
+    long = ["l" * n for n in (1000, 333, 200)]  # folded past the vector columns
+    tokens = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "x" * 16, "y" * 17, "h\xe9llo",
+              "\u65e5\u672c\u8a9e\u30c6\u30ad\u30b9\u30c8", "\U0001f600" * 5, *long]
+    tokens += ["".join("ab\xe9"[(i * j) % 3] for j in range(i)) for i in range(60)]
+    calls = []
+    monkeypatch.setattr(harness, "fin64_vec", lambda z: calls.append(z.size) or fin64_vec(z))
+    assert harness._token_ids(tokens).tolist() == [token_element_id(t) for t in tokens]
+    assert harness._token_ids([]).tolist() == []
+    assert calls and min(calls) >= harness._FOLD_ROWS
+    # a 1 MB token is folded word by word, not a vector column per word
+    huge = "\u65e5" + "q" * (1 << 20)
+    calls.clear()
+    ids = harness._token_ids([huge, *tokens])
+    assert ids.tolist() == [token_element_id(huge)] + [token_element_id(t) for t in tokens]
+    assert 0 < len(calls) < 100
+    # memory grows with the bytes, not with the longest token times the tokens
+    tracemalloc.start()
+    try:
+        harness._token_ids([huge[: 1 << 16], *tokens])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 16
+
+
+def _index_oracle(corpus, scheme):
+    """Buckets of index_build as one setdefault per (doc, band) cell built them."""
+    samples = batch_signatures([d.dist for d in corpus], scheme.base_seed, scheme.k)
+    keys = harness._band_keys_matrix(samples, scheme.a, scheme.o, scheme.base_seed)
+    buckets = {}
+    for doc, row in zip(corpus, keys.tolist()):
+        for b, key in enumerate(row):
+            buckets.setdefault((b, key), []).append(doc.doc_id)
+    return {k: tuple(v) for k, v in buckets.items()}
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_index_build_groups_like_the_cell_loop(monkeypatch, coarse):
+    texts = ["apple banana cherry", "apple banana date", "xylem phloem", "apple"]
+    corpus, _ = ingest_text((f"d{i}", texts[i % 7 % 4]) for i in range(90))
+    if coarse:  # keys from {0, 1, 2}: many shared in a band and across bands
+        band_keys_matrix = harness._band_keys_matrix
+        monkeypatch.setattr(harness, "_band_keys_matrix", lambda *args: band_keys_matrix(*args) % 3)
+    scheme = BandingScheme(2, 5, base_seed=4)
+    buckets = index_build(corpus, scheme).buckets
+    assert buckets == _index_oracle(corpus, scheme)
+    assert list(buckets) == sorted(buckets)
+    assert max(map(len, buckets.values())) > 20
 
 
 # --- synthetic pairs ------------------------------------------------------------

@@ -180,12 +180,22 @@ def _indexes(draw):
     return InvertedIndex(buckets, scheme)
 
 
+def _index_text(index):
+    """The index file as one ``json.dumps`` of each bucket's docs wrote it."""
+    s = index.scheme
+    lines = [json.dumps({"v": 1, "kind": "index", "a": s.a, "o": s.o, "seed": str(s.base_seed)})]
+    for (band, key), docs in sorted(index.buckets.items()):
+        lines.append('{"band": %d, "key": "%d", "docs": %s}' % (band, key, json.dumps(docs)))
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(_indexes())
 def test_index_fast_path_agrees_with_json_path(index):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.jsonl"
         jio.write_index_jsonl(path, index)
+        assert path.read_bytes() == _index_text(index).encode("utf-8")
         fast, json_path = jio.read_index_jsonl(path), jio._read_index_json(path)
     assert isinstance(fast.buckets, jio._LazyBuckets)  # what the writer writes is canonical
     assert fast.scheme == json_path.scheme == index.scheme
@@ -276,6 +286,17 @@ def test_cli_overflowing_weights_name_the_corpus(tmp_path):
         assert run(["hash", "--corpus", str(corpus), "--k", "16", "--out", str(out)]) == 0
         sigs.append(jio.read_signatures_jsonl(out))
     assert sigs[0] == sigs[1]
+
+
+@pytest.mark.parametrize(
+    "command", [["hash", "--k", "2"], ["index", "--a", "1", "--o", "2"]], ids=["hash", "index"]
+)
+def test_cli_surrogate_weight_key_names_path_and_line(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_OK + '{"id": "b", "weights": {"ok": 1.0, "\\ud800": 2.0}}\n')
+    argv = [*command, "--corpus", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {corpus}:2: weight key '\\ud800' is not valid UTF-8\n"
 
 
 def test_cli_sim_identical_vectors(tmp_path):

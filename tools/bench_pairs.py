@@ -17,7 +17,9 @@ line of the ``--out`` JSON list, ``{"side", "workload", "seed", "seconds",
 rewritten after every run.  At the end it prints, for each end-to-end metric
 of ``BENCHMARK.json``, both sides' quartiles over this invocation's runs and
 how many of its pairs the change won in the metric's ``better`` direction
-(a tie counts for neither side).
+(a tie counts for neither side).  It exits with status 1, naming the seed
+and side of each, if any run of this invocation reported ``correct: false``
+or ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -101,10 +103,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _pairs(args: argparse.Namespace, workdir: Path) -> int:
-    """Run the pairs with the parent tree under ``workdir``; print their summary."""
+    """Run the pairs with the parent tree under ``workdir``; print their summary; 1 if a run failed."""
     sides = {"parent": _export(args.parent, workdir), "change": ROOT}
     rows = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else []
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
+    bad_runs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -114,6 +117,8 @@ def _pairs(args: argparse.Namespace, workdir: Path) -> int:
             _write(args.out, rows)
             print(f"seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
                   flush=True)
+            if not result["correct"] or result["failed"] > 0:
+                bad_runs.append(f"seed {seed} {side}")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
@@ -121,6 +126,9 @@ def _pairs(args: argparse.Namespace, workdir: Path) -> int:
         quartiles = ["/".join(f"{v:.6g}" for v in line[side]) for side in ("parent", "change")]
         print(f"{line['metric']:<28} {quartiles[0]:>28} -> {quartiles[1]:<28} "
               f"won {line['won']}/{line['pairs']} ({line['better']} is better)")
+    if bad_runs:
+        print(f"bench_pairs: incorrect or failed runs: {', '.join(bad_runs)}", file=sys.stderr)
+        return 1
     return 0
 
 
