@@ -485,7 +485,9 @@ def eval_curves(
     retrieval probability amplify(p, a, o), with p = jp for method JP and
     p = jw for method JW.  Empirical mode (JP only) runs real signatures
     through index build and query over ``replicates`` derived seeds and
-    averages the measured precision/recall.
+    averages the measured precision/recall; each point equals the mean of
+    :func:`empirical_retrieval_runs` at that point, but the pairs are packed
+    once and each replicate is raced once for the whole grid.
     """
     if isinstance(task, str):
         task = Task.parse(task)
@@ -507,8 +509,9 @@ def eval_curves(
                 precision, recall = _weighted_pr(weights, positives, _amplify(p_vals, a, o))
                 points.append(PRPoint(method, a, o, o, precision, recall, "analytic"))
         return points
-    for a, o in grid:
-        runs = empirical_retrieval_runs(pairs, task, a, o, replicates=replicates, seed=seed)
+    if not len(grid):
+        return points
+    for (a, o), runs in zip(grid, _retrieval_runs(pairs, task, grid, replicates, seed)):
         precision = float(np.mean([r[0] for r in runs]))
         recall = float(np.mean([r[1] for r in runs]))
         points.append(PRPoint("JP", a, o, o, precision, recall, "empirical"))
@@ -528,6 +531,13 @@ def empirical_retrieval_runs(
     """
     if isinstance(task, str):
         task = Task.parse(task)
+    return _retrieval_runs(pairs, task, [(a, o)], replicates, seed)[0]
+
+
+def _retrieval_runs(
+    pairs: PairSample, task: Task, grid: Sequence[tuple[int, int]], replicates: int, seed: int
+) -> list[list[tuple[float, float]]]:
+    """:func:`empirical_retrieval_runs` at every point of a non-empty grid, from one race."""
     if replicates < 1:
         raise ValueError("replicates must be positive")
     if pairs.dists is None:
@@ -540,8 +550,10 @@ def empirical_retrieval_runs(
     packed = _PackedVectors(
         [pairs.dists[s.id_a] for s in pairs.scores] + [pairs.dists[s.id_b] for s in pairs.scores]
     )
-    hits = _band_hits(packed, a, o, derive_seed_vec(seed, np.arange(replicates)))
-    return [_weighted_pr(weights, positives, retrieved.astype(float)) for retrieved in hits]
+    return [
+        [_weighted_pr(weights, positives, retrieved.astype(float)) for retrieved in hits]
+        for hits in _band_hits(packed, grid, derive_seed_vec(seed, np.arange(replicates)))
+    ]
 
 
 def banded_collision_frequency(
@@ -550,7 +562,8 @@ def banded_collision_frequency(
     """Fraction of replicate seeds on which x and y share at least one band key."""
     if replicates < 1:
         raise ValueError("replicates must be positive")
-    hits = _band_hits(_PackedVectors([x, y]), a, o, derive_seed_vec(seed, np.arange(replicates)))
+    seeds = derive_seed_vec(seed, np.arange(replicates))
+    (hits,) = _band_hits(_PackedVectors([x, y]), [(a, o)], seeds)
     return float(hits[:, 0].mean())
 
 
@@ -558,24 +571,42 @@ def banded_collision_frequency(
 _BAND_CELLS = 1 << 20
 
 
-def _band_hits(packed: _PackedVectors, a: int, o: int, rep_seeds: np.ndarray) -> np.ndarray:
-    """(replicates, n) bool matrix: whether rows i and n + i of a 2n-row batch share a band key.
+def _band_hits(
+    packed: _PackedVectors, grid: Sequence[tuple[int, int]], rep_seeds: np.ndarray
+) -> list[np.ndarray]:
+    """Per grid point, whether rows i and n + i of a 2n-row batch share a band key.
 
+    The grid is not empty, and each point's matrix is (replicates, n).
     Replicate r signs every row under the seeds ``derive(rep_seeds[r], j)``
-    and bands under ``(a, o, rep_seeds[r])``.  Replicates are raced
-    together, as many at a time as keep their samples within ``_BAND_CELLS``.
+    and bands under ``(a, o, rep_seeds[r])``.  Neither depends on ``o``, and
+    band b only reads samples ``b*a..b*a+a-1``, so one race at ``K =
+    max(a*o)`` serves the whole grid: the band keys are folded once per
+    distinct ``a`` over its first ``a * max(o)`` samples, and a pair is hit
+    at (a, o) when any of its first ``o`` band keys match.  Replicates are
+    raced together, as many at a time as keep their K samples per row
+    within ``_BAND_CELLS``.
     """
-    k = BandingScheme(a, o).k  # validates a, o
+    k = max(BandingScheme(a, o).k for a, o in grid)  # validates every (a, o)
+    widest: dict[int, int] = {}  # a -> its largest o
+    for a, o in grid:
+        widest[a] = max(o, widest.get(a, 0))
     n_rows = packed.row_len.shape[0]
     step = max(1, _BAND_CELLS // (n_rows * k))
-    hits = []
+    chunks: list[list[np.ndarray]] = [[] for _ in grid]
     for reps in np.split(rep_seeds, range(step, rep_seeds.shape[0], step)):
         samples = packed.sample(derive_seed_vec(reps[:, None], np.arange(k)).reshape(-1))
         # row d * len(reps) + j of the reshaped samples is row d under replicate j
-        keys = _band_keys_matrix(samples.reshape(-1, k), a, o, np.tile(reps, n_rows))
-        keys = keys.reshape(2, n_rows // 2, reps.shape[0], o)
-        hits.append((keys[0] == keys[1]).any(axis=2).T)
-    return np.concatenate(hits)
+        samples = samples.reshape(-1, k)
+        bases = np.tile(reps, n_rows)
+        # [pair, replicate, o - 1]: whether any of the pair's first o band keys match
+        any_match = {}
+        for a, o_max in widest.items():
+            keys = _band_keys_matrix(samples[:, : a * o_max], a, o_max, bases)
+            keys = keys.reshape(2, n_rows // 2, reps.shape[0], o_max)
+            any_match[a] = np.logical_or.accumulate(keys[0] == keys[1], axis=2)
+        for hits, (a, o) in zip(chunks, grid):
+            hits.append(any_match[a][:, :, o - 1].T)
+    return [np.concatenate(hits) for hits in chunks]
 
 
 @dataclass(frozen=True)

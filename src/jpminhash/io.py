@@ -54,16 +54,21 @@ def _write_csv(path: str | Path, columns: str, comments: Sequence[str], rows: It
     _write_text(path, [VERSION_HEADER, *(f"# {c}" for c in comments), columns, *rows])
 
 
-def _data_lines(path: str | Path, text: str | None = None) -> list[tuple[int, str]]:
+def _data_lines(
+    path: str | Path, text: str | None = None, sep: str | None = None
+) -> list[tuple[int, str]]:
     """Non-comment, non-empty lines, stripped, with their 1-based line numbers.
 
     ``text`` is the file's content when the caller has read it already.
+    Lines end at ``sep``, or at every line break ``str.splitlines`` knows
+    when ``sep`` is None.
     """
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
+    lines = text.split(sep) if sep else text.splitlines()
     return [
         (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        for lineno, line in enumerate(map(str.strip, lines), start=1)
         if line and not line.startswith("#")
     ]
 
@@ -142,14 +147,16 @@ def _pr_point(method: str, a: str, o: str, cost: str, precision: str, recall: st
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(path: str | Path, text: str | None = None) -> Iterator[tuple[int, dict]]:
+def _json_lines(
+    path: str | Path, text: str | None = None, sep: str | None = None
+) -> Iterator[tuple[int, dict]]:
     """The JSON object on each non-comment, non-empty line, with its 1-based line number.
 
-    ``text`` is the file's content when the caller has read it already.
-    Each line is decoded by one call to the decoder's scanner, which is what
+    ``text`` and ``sep`` are as for :func:`_data_lines`.  Each line is
+    decoded by one call to the decoder's scanner, which is what
     ``json.loads`` runs after its own per-call checks.
     """
-    for lineno, line in _data_lines(path, text):
+    for lineno, line in _data_lines(path, text, sep):
         try:
             obj, end = _scan_json(line, 0)
         except StopIteration:
@@ -377,9 +384,14 @@ def read_corpus_jsonl(path: str | Path) -> list[dict]:
     'id' and 'text' must be strings; 'weights' an object of finite
     non-negative numbers whose keys encode to UTF-8, which a key holding a
     lone surrogate (a valid JSON escape) does not.
+
+    Records end only at a line feed (a carriage return before it is
+    stripped): a JSON string may hold U+2028, U+2029 and U+0085 raw, as
+    ``json.dumps(..., ensure_ascii=False)`` writes them, and
+    ``str.splitlines`` would break the record there.
     """
     records = []
-    for lineno, obj in _json_lines(path):
+    for lineno, obj in _json_lines(path, sep="\n"):
         if not isinstance(_require(obj, "id", path, lineno), str):
             raise ValueError(f"{path}:{lineno}: 'id' must be a string")
         if "text" in obj:

@@ -70,3 +70,44 @@ def test_exit_status_names_the_incorrect_and_failed_runs(tmp_path, monkeypatch, 
     outcomes.update({(1, "change"): (True, 0), (2, "parent"): (True, 0)})
     assert tool.main(argv + ["--seeds", "1-2"]) == 0
     assert len(json.loads((tmp_path / "bench.json").read_text())) == 8  # failed runs are kept too
+
+
+def _line(better, won, pairs, parent, change):
+    return {"metric": "m", "better": better, "pairs": pairs, "won": won,
+            "parent": parent, "change": change}
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_medians_apart_by_the_parent_spread():
+    claim_holds = _tool().claim_holds
+    parent = (10.0, 11.0, 12.0)  # interquartile range 2
+    assert claim_holds(_line("higher", 9, 10, parent, (12.0, 13.5, 14.0)))
+    assert not claim_holds(_line("higher", 8, 10, parent, (12.0, 13.5, 14.0)))  # 8/10
+    assert not claim_holds(_line("higher", 9, 10, parent, (12.0, 13.0, 14.0)))  # apart by 2, not more
+    assert claim_holds(_line("higher", 18, 20, parent, (12.0, 13.5, 14.0)))
+    assert not claim_holds(_line("higher", 17, 19, parent, (12.0, 13.5, 14.0)))  # below 9/10
+    assert claim_holds(_line("lower", 10, 10, parent, (7.0, 8.5, 9.0)))
+    assert not claim_holds(_line("lower", 10, 10, parent, (12.0, 13.5, 14.0)))  # the wrong way
+    assert not claim_holds(_line("lower", 1, 1, (5.0, 5.0, 5.0), (5.0, 5.0, 5.0)))
+
+
+def test_summary_lines_print_the_claim(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    # ten pairs: the change is faster in nine, and by far more than the parent's spread
+    values = {(seed, side): (50.0 + seed if side == "parent" else 100.0 + seed if seed < 10 else 10.0)
+              for seed in range(1, 11) for side in ("parent", "change")}
+    sides = {tmp_path / "parent": "parent", tool.ROOT: "change"}
+
+    def run(checkout, workload, seed, seconds, trace):
+        rate = values[seed, sides[checkout]]
+        return {"correct": True, "failed": 0,
+                "metrics": {"eval_empirical_pairs_per_s": {"value": rate, "unit": "u"},
+                            "sim_pairs_per_s": {"value": 1.0, "unit": "u"}}}
+
+    monkeypatch.setattr(tool, "_export", lambda rev, workdir: tmp_path / "parent")
+    monkeypatch.setattr(tool, "_run", run)
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1-10", "--out", str(tmp_path / "b.json")]
+    assert tool.main(argv) == 0
+    summary = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("seed ")}
+    assert summary["eval_empirical_pairs_per_s"].endswith("won 9/10 (higher is better), claim holds")
+    assert summary["sim_pairs_per_s"].endswith("won 0/10 (higher is better), claim not met")

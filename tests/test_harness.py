@@ -4,19 +4,21 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jpminhash import harness
+from jpminhash import harness, minhash
 from jpminhash.harness import (
     DEFAULT_GRID,
     BandingScheme,
     Document,
     PairSample,
     PairScore,
+    PRPoint,
     Task,
     amplify,
     band_keys,
@@ -568,6 +570,94 @@ def test_empirical_needs_distributions():
     scores = (PairScore("a", "b", jp=0.5, jw=0.5, jsd=0.1, tv=0.0, support_jaccard=1.0),)
     with pytest.raises(ValueError, match="distributions"):
         empirical_retrieval_runs(PairSample(scores), "jsd<0.25", 1, 1, replicates=1, seed=0)
+
+
+_GRID_PAIRS = synth_pairs(12, seed=3)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 9)), min_size=1, max_size=6),
+    replicates=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(grid=[(2, 8), (1, 3), (2, 8), (2, 5), (3, 1), (2, 1)], replicates=5, seed=7)
+def test_empirical_grid_equals_its_points_one_by_one(split, grid, replicates, seed):
+    # a repeated point, unsorted points, several o per a, o not a power of two
+    rows = 2 * len(_GRID_PAIRS)
+    k = max(a * o for a, o in grid)
+    # split: two replicates per race at K = max(a*o), more for a single point's smaller K
+    cells = 2 * rows * k if split else harness._BAND_CELLS
+    with mock.patch.object(harness, "_BAND_CELLS", cells):
+        points = eval_curves(_GRID_PAIRS, grid, "jsd<0.25", mode="empirical",
+                             replicates=replicates, seed=seed)
+        expected = []
+        for a, o in grid:
+            runs = empirical_retrieval_runs(_GRID_PAIRS, "jsd<0.25", a, o, replicates=replicates, seed=seed)
+            precision = float(np.mean([r[0] for r in runs]))
+            recall = float(np.mean([r[1] for r in runs]))
+            expected.append(PRPoint("JP", a, o, o, precision, recall, "empirical"))
+    assert points == expected
+
+
+@pytest.mark.parametrize("a, o, seed, reps, freq", [
+    (1, 1, 0, 7, 0.8571428571428571),
+    (2, 3, 77, 200, 0.77),
+    (3, 5, 9, 640, 0.6828125),
+    (8, 2, 4, 300, 0.05),
+    (1, 9, 123, 33, 1.0),
+])
+def test_banded_frequency_pinned(a, o, seed, reps, freq):
+    assert banded_collision_frequency(REF_X, REF_Y, a, o, seed=seed, replicates=reps) == freq
+
+
+def test_empirical_errors_and_empty_grid():
+    scores = (PairScore("a", "b", jp=0.5, jw=0.5, jsd=0.1, tv=0.0, support_jaccard=1.0),)
+    no_dists, pairs = PairSample(scores), PairSample(scores, dists={"a": REF_X, "b": REF_Y})
+    for sample in (no_dists, pairs):
+        assert eval_curves(sample, [], mode="empirical", replicates=0) == []
+    # checked in this order: replicates, distributions, then the task
+    for sample, task, replicates, message in [
+        (no_dists, "jsd>0.5", 0, "replicates must be positive"),
+        (no_dists, "jsd>0.5", 1, "empirical mode needs pair distributions"),
+        (pairs, "jsd>0.5", 1, "degenerate task"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            empirical_retrieval_runs(sample, task, 1, 1, replicates=replicates, seed=0)
+    # eval_curves checks the task first
+    with pytest.raises(ValueError, match="^degenerate task$"):
+        eval_curves(no_dists, [(1, 1)], "jsd>0.5", mode="empirical", replicates=0)
+    with pytest.raises(ValueError, match="^replicates must be positive$"):
+        eval_curves(no_dists, [(1, 1)], mode="empirical", replicates=0)
+    with pytest.raises(ValueError, match="^empirical mode needs pair distributions$"):
+        eval_curves(no_dists, [(1, 1)], mode="empirical", replicates=1)
+    with pytest.raises(ValueError, match="^replicates must be positive$"):
+        banded_collision_frequency(REF_X, REF_Y, 1, 1, seed=0, replicates=0)
+
+
+# K = 128 on 80 rows: the default chunk races all 5 replicates at once, 25,000
+# cells two at a time, and 5,000 cells (below one replicate's K samples) one
+@pytest.mark.parametrize("cells, n_races", [(None, 1), (25_000, 3), (5_000, 5)])
+def test_grid_race_holds_no_more_samples_than_the_largest_point(monkeypatch, cells, n_races):
+    if cells is not None:
+        monkeypatch.setattr(harness, "_BAND_CELLS", cells)
+    races = []
+    sample = minhash._PackedVectors.sample
+
+    def recording(packed, seeds):
+        races.append((packed.row_len.shape[0], len(seeds)))
+        return sample(packed, seeds)
+
+    monkeypatch.setattr(minhash._PackedVectors, "sample", recording)
+    pairs, grid, replicates = synth_pairs(40, seed=2), [(2, 3), (8, 16), (1, 100), (8, 5)], 5
+    eval_curves(pairs, grid, mode="empirical", replicates=replicates, seed=1)
+    k = 8 * 16
+    assert len(races) == n_races
+    assert sum(seeds for _, seeds in races) == replicates * k  # each replicate raced once
+    for rows, seeds in races:
+        assert rows == 80 and seeds % k == 0
+        assert rows * seeds <= max(harness._BAND_CELLS, rows * k)
 
 
 # --- divergence direction ------------------------------------------------------

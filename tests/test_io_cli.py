@@ -260,6 +260,21 @@ def test_corpus_jsonl_errors(tmp_path):
         jio.read_corpus_jsonl(path)
 
 
+def test_corpus_jsonl_records_end_only_at_newline(tmp_path, capsys):
+    # JSON allows U+2028, U+2029 and U+0085 raw in a string; str.splitlines breaks at each
+    docs = [{"id": f"d{i}", "text": f"x{c}y z"} for i, c in enumerate("\u2028\u2029\x85")]
+    text = "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in docs)
+    assert all(c in text for c in "\u2028\u2029\x85")
+    path = tmp_path / "corpus.jsonl"
+    for ending in ("\n", "\r\n"):
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        assert jio.read_corpus_jsonl(path) == docs
+        assert run(["hash", "--corpus", str(path), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]) == 0
+    path.write_bytes((text + "{oops\n").encode("utf-8"))
+    assert run(["hash", "--corpus", str(path), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:4: malformed JSON")
+
+
 # --- cli ------------------------------------------------------------------------
 
 def _write_corpus(path, docs):

@@ -64,8 +64,9 @@ def test_tracer_counts_the_hashes_of_empirical_eval(monkeypatch, tmp_path):
             "--replicates", "3", "--seed", "4", "--out", str(tmp_path / "pr.csv")]
     with tracer.Tracer() as t:
         assert cli.run(argv) == 0
-    # every (entry, signature position) cell of both grid points in all 3 replicates
-    assert t.counts["minhash.hashes"] == entries * (8 + 3) * 3 == 291_060
+    # one race per replicate for the whole grid: every (entry, signature position)
+    # cell up to K = max(a*o) = 8, in all 3 replicates
+    assert t.counts["minhash.hashes"] == entries * 8 * 3 == 211_680
 
 
 def test_tracer_counts_the_buckets_of_a_read_index(monkeypatch, tmp_path):

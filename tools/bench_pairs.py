@@ -10,16 +10,20 @@ The parent side is the tree of ``--parent``, exported with ``git archive``
 into a directory under ``--workdir``, where later runs reuse it (by default
 a temporary directory, removed at the end); the change side is the working
 tree.  For each seed it runs ``perfbench/run.py`` once on each side, one
-after the other, and swaps which side goes first from one seed to the next.  Each run's result becomes one
-line of the ``--out`` JSON list, ``{"side", "workload", "seed", "seconds",
-"trace", "result"}``, where ``result`` is the last stdout line of
-``perfbench/run.py``.  Lines already in ``--out`` are kept, and the file is
-rewritten after every run.  At the end it prints, for each end-to-end metric
-of ``BENCHMARK.json``, both sides' quartiles over this invocation's runs and
-how many of its pairs the change won in the metric's ``better`` direction
-(a tie counts for neither side).  It exits with status 1, naming the seed
-and side of each, if any run of this invocation reported ``correct: false``
-or ``failed > 0``.
+after the other, and swaps which side goes first from one seed to the next.
+Each run's result becomes one line of the ``--out`` JSON list, ``{"side",
+"workload", "seed", "seconds", "trace", "result"}``, where ``result`` is the
+last stdout line of ``perfbench/run.py``.  Lines already in ``--out`` are
+kept, and the file is rewritten after every run.
+
+At the end it prints, for each end-to-end metric of ``BENCHMARK.json``, both
+sides' quartiles over this invocation's runs, how many of its pairs the
+change won in the metric's ``better`` direction (a tie counts for neither
+side), and whether a gain may be claimed: ``claim holds`` when the change
+won at least 9/10 of the pairs and its median beats the parent's by more
+than the parent's interquartile range, else ``claim not met``.  It exits
+with status 1, naming the seed and side of each, if any run of this
+invocation reported ``correct: false`` or ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ def _pairs(args: argparse.Namespace, workdir: Path) -> int:
     better = {m["name"]: m["better"] for m in declared}
     for line in summarize(rows[len(rows) - 2 * len(args.seeds):], better):
         quartiles = ["/".join(f"{v:.6g}" for v in line[side]) for side in ("parent", "change")]
+        verdict = "claim holds" if claim_holds(line) else "claim not met"
         print(f"{line['metric']:<28} {quartiles[0]:>28} -> {quartiles[1]:<28} "
-              f"won {line['won']}/{line['pairs']} ({line['better']} is better)")
+              f"won {line['won']}/{line['pairs']} ({line['better']} is better), {verdict}")
     if bad_runs:
         print(f"bench_pairs: incorrect or failed runs: {', '.join(bad_runs)}", file=sys.stderr)
         return 1
@@ -169,6 +174,19 @@ def summarize(rows: list[dict], better: dict[str, str]) -> list[dict]:
             "change": _quartiles([c for _, c in values]),
         })
     return lines
+
+
+def claim_holds(line: dict) -> bool:
+    """Whether a :func:`summarize` line supports claiming a gain in its metric.
+
+    The change must have won at least nine tenths of the pairs, and its
+    median must beat the parent's by more than the parent's interquartile
+    range.
+    """
+    sign = 1.0 if line["better"] == "higher" else -1.0
+    (q1, median, q3), change = line["parent"], line["change"][1]
+    return 10 * line["won"] >= 9 * line["pairs"] and sign * (change - median) > q3 - q1
+
 
 if __name__ == "__main__":
     sys.exit(main())
