@@ -92,11 +92,7 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_corpus(path: Path) -> list[harness.Document]:
-    records = io.read_corpus_jsonl(path)
-    try:
-        corpus, skipped = harness.corpus_from_records(records)
-    except OverflowError as exc:  # weights whose sum exceeds the float range
-        raise CliError(f"{path}: cannot normalize weights ({exc})") from None
+    corpus, skipped = harness.corpus_from_records(io.read_corpus_jsonl(path))
     if skipped:
         print(f"warning: skipped {skipped} empty document(s)", file=sys.stderr)
     if not corpus:
@@ -205,13 +201,14 @@ def run(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

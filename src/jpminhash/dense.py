@@ -8,18 +8,21 @@ realized by sorting the per-element exponential keys of the proposal, which
 is distributionally identical to drawing incremental truncated exponentials
 and makes the result coincide exactly, seed by seed, with the sparse sampler
 applied to the measure.  The scalar search sorts every key up front and is
-the seed-for-seed oracle for ``pminhash``.  The batched finite search sorts
-only a head of each seed's stream, picked by partition, whose length follows
-from the bound of the normalized measures (a search visits about that many
-proposals); a seed whose search does not stop within its head, or whose head
-ends in a tie with a later arrival, is searched again over its fully sorted
-stream, so samples and iteration counts stay the scalar search's.  A finite
-collision estimate hashes the stream once and shares its head between both
-measures.  Piecewise-constant densities on [0, 1) use the incremental form
-with inverse-CDF position draws.  A collision estimate on piecewise densities
-searches all its seeds in one batch, equal to the scalar search seed by seed
-in sample and iteration count; the batch takes its logs with ``math.log``, as
-the scalar stream does, so that no key depends on numpy's SIMD dispatch.
+the seed-for-seed oracle for ``pminhash``.  The batched finite search runs
+any number of measures against one proposal in one call: the stream reads no
+target measure, so each seed's stream is hashed once and one head of it,
+picked by partition, serves every measure.  The head's length follows from
+the largest bound of the normalized measures (a search visits about that many
+proposals); a seed whose search does not stop within its head for some
+measure, or whose head ends in a tie with a later arrival, is searched again
+for every measure over one full sort of its stream, so samples and iteration
+counts stay the scalar search's.  A finite collision estimate is one such
+call for its two measures.  Piecewise-constant densities on [0, 1) use the
+incremental form with inverse-CDF position draws.  A collision estimate on
+piecewise densities searches all its seeds in one batch, equal to the scalar
+search seed by seed in sample and iteration count; the batch takes its logs
+with ``math.log``, as the scalar stream does, so that no key depends on
+numpy's SIMD dispatch.
 
 Measures store read-only float64 arrays, as sparse vectors do, and compare
 by identity.  Searches run on copies scaled by a power of two, made once per
@@ -360,82 +363,68 @@ def _visit(order: np.ndarray, e: np.ndarray, ratio: np.ndarray, b: float):
     return np.take_along_axis(order, arg[None, :], axis=0)[0], first, stopped
 
 
-def _prefix_len(mu: FiniteMeasure, lam: FiniteMeasure) -> int:
-    """How many arrivals of ``lam``'s stream the batch search for ``mu`` sorts up front.
+def _head_len(b_hat: float, n: int) -> int:
+    """How many arrivals of an ``n``-long stream the batch search sorts up front.
 
     A search visits about as many proposals as the bound of the normalized
-    measures, ``B * |lam| / |mu|``; the head holds 16 times that, at least
-    32, and the whole stream once that is no shorter.
+    measures, ``b_hat = B * |lam| / |mu|``; the head holds 16 times that, at
+    least 32, and the whole stream once that is no shorter.
     """
-    (mu, _), (lam, _) = mu._unit, lam._unit
-    b_hat = global_bound(mu, lam) * lam.total / mu.total
-    n = np.count_nonzero(lam.masses)
     return max(32, 16 * math.ceil(b_hat)) if 16 * b_hat < n else n
 
 
-def _stream_prefix(lam: FiniteMeasure, seeds, k: int):
-    """``(order, e, tied)``: the ``k`` earliest arrivals of each seed's stream of ``lam``.
+def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Batched bounded search of each measure in ``mus`` against one proposal.
 
-    Row ``j`` of column ``s`` is the ``j``-th arrival of seed ``s``, as an
-    index into the positive-mass elements of ``lam`` and its key on the
-    unit-scaled proposal; ``tied`` is as in :func:`_stream_head`.  The head
-    reads no target measure, so the searches for every measure against
-    ``lam`` can share it.  ``None`` when ``k`` covers the whole stream,
-    which is then sorted and searched a block at a time instead, so that no
-    full key matrix outlives its block.
+    Returns (samples, iterations); entry ``j * len(seeds) + s`` is measure
+    ``j`` under seed ``s``, equal to :func:`astar_pminhash` in sample and
+    iteration count.  The stream reads no target measure, so every measure
+    visits one head of it, as long as :func:`_head_len` gives for the
+    largest normalized bound: a search stops after about that bound's
+    number of proposals, and the head spares sorting the rest of the
+    stream.  A seed whose search does not stop within the head for some
+    measure, or whose head may not be its stream's (``tied`` in
+    :func:`_stream_head`), is searched again for every measure over its
+    fully sorted stream, as is every seed when the head would be the whole
+    stream.
     """
+    seeds = np.asarray(seeds, dtype=np.uint64)
     lam = lam._unit[0]
     ids = np.nonzero(lam.masses)[0]
-    if k >= ids.shape[0]:
-        return None
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    order = np.empty((k, seeds.shape[0]), dtype=np.intp)
-    e = np.empty((k, seeds.shape[0]))
-    tied = np.empty(seeds.shape[0], dtype=bool)
-    for lo, keys in _key_tiles(ids, lam.masses[ids], seeds):
-        hi = lo + keys.shape[1]
-        order[:, lo:hi], e[:, lo:hi], tied[lo:hi] = _stream_head(keys, k)
-    return order, e, tied
-
-
-def _astar_many_discrete(
-    mu: FiniteMeasure, lam: FiniteMeasure, seeds, prefix=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched bounded search; returns (samples, iterations) per seed.
-
-    Equal to :func:`astar_pminhash` seed for seed in sample and iteration
-    count.  Each seed visits a head of its stream: ``prefix``, made by
-    :func:`_stream_prefix` from the same ``lam`` and ``seeds``, or else a
-    head as long as :func:`_prefix_len` gives.  A search stops after about
-    the normalized bound's number of proposals, so the head spares sorting
-    the rest of the stream.  A seed whose search does not stop within its
-    head, or whose head may not be its stream's (``tied``), is searched
-    again over its fully sorted stream, as is every seed when the head
-    would be the whole stream.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if prefix is None:
-        prefix = _stream_prefix(lam, seeds, _prefix_len(mu, lam))
-    (mu, _), (lam, _) = mu._unit, lam._unit
-    b = global_bound(mu, lam)
-    ids = np.nonzero(lam.masses)[0]
-    lam_vals, mu_vals = lam.masses[ids], mu.masses[ids]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
-    if prefix is None:  # the head would be the whole stream
-        redo = np.arange(seeds.shape[0])
-        pos, iterations = np.empty_like(redo), np.empty_like(redo)
-    else:
-        order, e, tied = prefix
-        pos, first, stopped = _visit(order, e, ratio, b)
-        iterations = first + 1
-        redo = np.nonzero(tied | ~stopped)[0]
+    lam_vals = lam.masses[ids]
+    searches = []  # (ratio, bound) per measure
+    k = 0
+    for mu in mus:
+        mu = mu._unit[0]
+        b = global_bound(mu, lam)
+        mu_vals = mu.masses[ids]
+        with np.errstate(divide="ignore"):
+            ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
+        searches.append((ratio, b))
+        k = max(k, _head_len(b * lam.total / mu.total, ids.shape[0]))
+    pos = np.empty((len(searches), seeds.shape[0]), dtype=np.intp)
+    iterations = np.empty_like(pos)
+    redo = np.arange(seeds.shape[0])
+    if k < ids.shape[0]:
+        order = np.empty((k, seeds.shape[0]), dtype=np.intp)
+        e = np.empty((k, seeds.shape[0]))
+        undecided = np.empty(seeds.shape[0], dtype=bool)  # tied; then also not stopped
+        for lo, keys in _key_tiles(ids, lam_vals, seeds):
+            hi = lo + keys.shape[1]
+            order[:, lo:hi], e[:, lo:hi], undecided[lo:hi] = _stream_head(keys, k)
+        for j, (ratio, b) in enumerate(searches):
+            pos[j], first, stopped = _visit(order, e, ratio, b)
+            iterations[j] = first + 1
+            undecided |= ~stopped
+        redo = np.nonzero(undecided)[0]
     for lo, keys in _key_tiles(ids, lam_vals, seeds[redo]):
         at = redo[lo : lo + keys.shape[1]]
         order = np.argsort(keys, axis=0, kind="stable")
-        pos[at], first, _ = _visit(order, np.take_along_axis(keys, order, axis=0), ratio, b)
-        iterations[at] = first + 1
-    return ids[pos], iterations
+        e = np.take_along_axis(keys, order, axis=0)
+        for j, (ratio, b) in enumerate(searches):
+            pos[j, at], first, _ = _visit(order, e, ratio, b)
+            iterations[j, at] = first + 1
+    return ids[pos].ravel(), iterations.ravel()
 
 
 def _astar_many_piecewise(
@@ -501,15 +490,15 @@ def astar_collision(
     mu: Measure, nu: Measure, lam: Measure, base_seed: int, n: int
 ) -> float:
     """Fraction of n seeds on which the searches for mu and nu return the
-    same candidate; converges to the pair's ``jp`` similarity."""
+    same candidate; converges to the pair's ``jp`` similarity.  On finite
+    measures both searches are one batched call over one proposal stream."""
     if n < 1:
         raise ValueError("n must be positive")
     if not (isinstance(mu, type(lam)) and isinstance(nu, type(lam))):
         raise ValueError("measure and proposal must be of the same kind")
     seeds = derive_seed_vec(base_seed, np.arange(n))
-    if isinstance(lam, FiniteMeasure):  # one head of the proposal stream serves both searches
-        prefix = _stream_prefix(lam, seeds, max(_prefix_len(mu, lam), _prefix_len(nu, lam)))
-        a, b = (_astar_many_discrete(m, lam, seeds, prefix)[0] for m in (mu, nu))
+    if isinstance(lam, FiniteMeasure):
+        a, b = _astar_many_discrete((mu, nu), lam, seeds)[0].reshape(2, n)
     else:
         a, b = (_astar_many_piecewise(m, lam, seeds)[0] for m in (mu, nu))
     return float(np.mean(a == b))

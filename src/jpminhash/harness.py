@@ -460,6 +460,17 @@ class PRPoint:
     mode: str  # "analytic" or "empirical"
 
 
+def _labels(pairs: PairSample, task: Task) -> tuple[np.ndarray, np.ndarray]:
+    """``(positives, weights)`` of the pairs; raises unless some positive pair carries weight."""
+    positives = np.array([task.is_positive(s) for s in pairs.scores])
+    if not positives.any():
+        raise ValueError("degenerate task")
+    weights = np.array([s.weight for s in pairs.scores])
+    if not weights[positives].sum() > 0.0:
+        raise ValueError("the positive pairs carry no weight, so recall is undefined")
+    return positives, weights
+
+
 def _weighted_pr(weights: np.ndarray, positives: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     wq = weights * q
     retrieved = float(wq.sum())
@@ -493,12 +504,9 @@ def eval_curves(
         task = Task.parse(task)
     if mode not in ("analytic", "empirical"):
         raise ValueError(f"unknown mode {mode!r}")
-    positives = np.array([task.is_positive(s) for s in pairs.scores])
-    if not positives.any():
-        raise ValueError("degenerate task")
+    positives, weights = _labels(pairs, task)
     for a, o in grid:
         BandingScheme(a, o)  # validates a, o
-    weights = np.array([s.weight for s in pairs.scores])
     points: list[PRPoint] = []
     if mode == "analytic":
         for method, p_vals in (
@@ -542,10 +550,7 @@ def _retrieval_runs(
         raise ValueError("replicates must be positive")
     if pairs.dists is None:
         raise ValueError("empirical mode needs pair distributions")
-    positives = np.array([task.is_positive(s) for s in pairs.scores])
-    if not positives.any():
-        raise ValueError("degenerate task")
-    weights = np.array([s.weight for s in pairs.scores])
+    positives, weights = _labels(pairs, task)
     # both sides in one batch, packed once: an id shared by any two documents is hashed once
     packed = _PackedVectors(
         [pairs.dists[s.id_a] for s in pairs.scores] + [pairs.dists[s.id_b] for s in pairs.scores]

@@ -39,6 +39,7 @@ VERSION_HEADER = "# jpminhash-v1"
 
 PAIR_COLUMNS = "idA,idB,jp,jw,jsd,tv,jaccard,weight"
 PR_COLUMNS = "method,a,o,cost,precision,recall,mode"
+_SCORE_COLUMNS = PAIR_COLUMNS.split(",")[2:7]  # each must lie in [0, 1]
 
 
 def fmt_float(v: float) -> str:
@@ -54,6 +55,25 @@ def _write_csv(path: str | Path, columns: str, comments: Sequence[str], rows: It
     _write_text(path, [VERSION_HEADER, *(f"# {c}" for c in comments), columns, *rows])
 
 
+def _read_text(path: str | Path, sep: str | None = None) -> str:
+    """The text of a UTF-8 file, its line endings translated as ``Path.read_text`` does.
+
+    A byte that is not UTF-8 raises a ValueError naming the path and the
+    line, counted as :func:`_data_lines` counts lines ending at ``sep``.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # the error's offset is into the chunk being decoded
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lineno = len(head.split(sep)) if sep else len((head + "x").splitlines())
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+    raise ValueError(f"{path}: not valid UTF-8")  # the file changed between the reads
+
+
 def _data_lines(
     path: str | Path, text: str | None = None, sep: str | None = None
 ) -> list[tuple[int, str]]:
@@ -64,7 +84,7 @@ def _data_lines(
     when ``sep`` is None.
     """
     if text is None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path, sep)
     lines = text.split(sep) if sep else text.splitlines()
     return [
         (lineno, line)
@@ -125,7 +145,13 @@ def read_pair_csv(path: str | Path) -> PairSample:
 
 
 def _pair_score(id_a: str, id_b: str, *values: str) -> PairScore:
-    return PairScore(id_a, id_b, *map(float, values))
+    *scores, weight = map(float, values)
+    for name, v in zip(_SCORE_COLUMNS, scores):
+        if not 0.0 <= v <= 1.0:  # false on NaN too
+            raise ValueError(f"{name} must be in [0, 1], got {v!r}")
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
+    return PairScore(id_a, id_b, *scores, weight)
 
 
 def write_pr_csv(path: str | Path, points: Sequence[PRPoint], comments: Sequence[str] = ()) -> None:
@@ -329,7 +355,7 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
     returns equal buckets and raises each error with its ``path:line``; such
     a file costs that reader plus the failed pattern scan.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     index = _read_canonical_index(text)
     return index if index is not None else _read_index_json(path, text)
 

@@ -93,21 +93,24 @@ def _race(packed: "_PackedVectors", seeds) -> np.ndarray:
         end = max(r + 1, int(np.searchsorted(bounds, bounds[r] + fit, side="right")) - 1)
         tiles.append((r, end, min(width, max(1, TILE_CELLS // int(bounds[end] - bounds[r])))))
         r = end
-    for s0 in range(0, n_seeds, width):
-        s1 = min(s0 + width, n_seeds)
-        if inv is not None:
-            table = np.log(uniform_hash_vec(packed.distinct[:, None], seeds[None, s0:s1]))
-        for r, end, step in tiles:
-            lo, hi = bounds[r], bounds[end]
-            for s in range(s0, s1, step):
-                e = min(s + step, s1)
-                if inv is None:
-                    keys = np.log(uniform_hash_vec(ids[lo:hi, None], seeds[None, s:e]))
-                else:
-                    keys = np.take(table[:, s - s0 : e - s0], inv[lo:hi], axis=0)
-                out[r:end, s:e] = _race_tile(
-                    ids[lo:hi], packed.neg_masses[lo:hi], bounds[r:end] - lo, packed.row_len[r:end], keys
-                )
+    # a key past the float range is inf, which loses the race as the scalar key does
+    with np.errstate(over="ignore"):
+        for s0 in range(0, n_seeds, width):
+            s1 = min(s0 + width, n_seeds)
+            if inv is not None:
+                table = np.log(uniform_hash_vec(packed.distinct[:, None], seeds[None, s0:s1]))
+            for r, end, step in tiles:
+                lo, hi = bounds[r], bounds[end]
+                for s in range(s0, s1, step):
+                    e = min(s + step, s1)
+                    if inv is None:
+                        keys = np.log(uniform_hash_vec(ids[lo:hi, None], seeds[None, s:e]))
+                    else:
+                        keys = np.take(table[:, s - s0 : e - s0], inv[lo:hi], axis=0)
+                    out[r:end, s:e] = _race_tile(
+                        ids[lo:hi], packed.neg_masses[lo:hi], bounds[r:end] - lo,
+                        packed.row_len[r:end], keys,
+                    )
     return out
 
 

@@ -2,18 +2,20 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jpminhash import dense
 from jpminhash.dense import (
     AStarResult,
     FiniteMeasure,
     PiecewiseDensity,
     _astar_many_discrete,
     _astar_many_piecewise,
+    _key_tiles,
     _stream_head,
-    _stream_prefix,
     _visit,
     astar_collision,
     astar_pminhash,
@@ -21,7 +23,7 @@ from jpminhash.dense import (
     proposal_stream,
     refine_breakpoints,
 )
-from jpminhash.hashing import TILE_CELLS, derive_seed_vec
+from jpminhash.hashing import TILE_CELLS, derive_seed_vec, uniform_hash_vec
 from jpminhash.minhash import pminhash
 from jpminhash.similarity import jp
 from jpminhash.sparse import SparseDistribution, SparseVector
@@ -239,7 +241,7 @@ def test_batch_search_matches_scalar():
     assert 40 > 2 * TILE_CELLS // 2000
     for mu, lam, count in cases:
         seeds = derive_seed_vec(99, np.arange(count))
-        samples, iters = _astar_many_discrete(mu, lam, seeds)
+        samples, iters = _astar_many_discrete((mu,), lam, seeds)
         for i, s in enumerate(seeds):
             res = astar_pminhash(mu, lam, int(s))
             assert res.sample == int(samples[i])
@@ -273,27 +275,46 @@ def test_stream_head_flags_a_tie_at_its_last_key():
         assert np.array_equal(got[decided], want[decided])
 
 
-def test_stream_prefix_fallbacks_equal_the_full_sort():
+def _searches(mus, lam, seeds):
+    """``(samples, iters)`` of one batch search of every measure in ``mus``, one row per measure.
+
+    Asserts that each row equals the batch search of its measure alone and
+    the scalar search, seed by seed.
+    """
+    samples, iters = (a.reshape(len(mus), len(seeds)) for a in _astar_many_discrete(mus, lam, seeds))
+    for mu, got_samples, got_iters in zip(mus, samples, iters):
+        alone = _astar_many_discrete((mu,), lam, seeds)
+        assert np.array_equal(got_samples, alone[0]) and np.array_equal(got_iters, alone[1])
+        scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
+        assert got_samples.tolist() == [r.sample for r in scalar]
+        assert got_iters.tolist() == [r.iterations for r in scalar]
+    return samples, iters
+
+
+def _force_head(monkeypatch, k):
+    monkeypatch.setattr(dense, "_head_len", lambda b_hat, n: k)
+
+
+def test_stream_prefix_fallbacks_equal_the_full_sort(monkeypatch):
     # a head of 2 arrivals: many searches do not stop within it and rerun
-    # over the full sort
+    # over the full sort, some for one measure of the pair only
     mu, nu, lam = _mixture(2000, 8)
     seeds = derive_seed_vec(5, np.arange(40))
-    scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
-    samples, iters = _astar_many_discrete(mu, lam, seeds, _stream_prefix(lam, seeds, 2))
-    assert (iters > 2).sum() >= 10
-    assert samples.tolist() == [r.sample for r in scalar]
-    assert iters.tolist() == [r.iterations for r in scalar]
+    _force_head(monkeypatch, 2)
+    _, iters = _searches((mu, nu), lam, seeds)
+    assert (iters > 2).any(axis=0).sum() >= 10
+    assert ((iters[0] <= 2) & (iters[1] > 2)).any()
+    assert ((iters[1] <= 2) & (iters[0] > 2)).any()
     # subnormal proposal masses give infinite keys, all tied: a head of 3
     # holds the 2 finite ones and a tied infinite one
     mu = FiniteMeasure(np.linspace(1.0, 2.0, 8))
     lam = FiniteMeasure((1.0, 1.0) + (1e-320,) * 6)
     seeds = derive_seed_vec(6, np.arange(50))
-    prefix = _stream_prefix(lam, seeds, 3)  # the keys overflow, as intended, and warn of nothing
-    samples, iters = _astar_many_discrete(mu, lam, seeds, prefix)
-    scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
-    assert prefix[2].all()
-    assert samples.tolist() == [r.sample for r in scalar]
-    assert iters.tolist() == [r.iterations for r in scalar]
+    _force_head(monkeypatch, 3)
+    (_, keys), = _key_tiles(np.arange(8), lam._unit[0].masses, seeds)  # overflow, and warn of nothing
+    assert _stream_head(keys, 3)[2].all()
+    _searches((mu, FiniteMeasure(mu.masses[::-1])), lam, seeds)
+    monkeypatch.undo()
     # masses spanning more than 2**1022: the bound (first case) or a key
     # ratio (second) overflows to inf, still a valid one
     seeds = derive_seed_vec(3, np.arange(50))
@@ -302,29 +323,68 @@ def test_stream_prefix_fallbacks_equal_the_full_sort():
         ((1.0, 1e-310, 1.0), (1.0, 1e-200, 1.0)),
     ]:
         mu, lam = FiniteMeasure(mu), FiniteMeasure(lam)
-        samples, iters = _astar_many_discrete(mu, lam, seeds)
-        scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
-        assert samples.tolist() == [r.sample for r in scalar]
-        assert iters.tolist() == [r.iterations for r in scalar]
+        _searches((mu, mu), lam, seeds)
         assert astar_collision(mu, mu, lam, 3, 50) == 1.0
 
 
-def test_collision_shares_one_stream_head():
-    # astar_collision sorts one head of the proposal stream for both measures;
-    # two searches that build their own heads reach the same estimate
+def test_pair_search_reruns_a_head_tied_at_its_last_key(monkeypatch):
+    # uniforms rounded up to quarters make keys tie across rows, so a head
+    # often ends in a tie with a later arrival and holds the wrong one of the
+    # tied rows; the scalar stream hashes through the same function
+    def coarse(ids, seeds):
+        return np.ceil(uniform_hash_vec(ids, seeds) * 4.0) / 4.0
+
+    monkeypatch.setattr(dense, "uniform_hash_vec", coarse)
+    _force_head(monkeypatch, 3)
+    mu, nu = FiniteMeasure(np.linspace(1.0, 3.0, 12)), FiniteMeasure(np.linspace(3.0, 1.0, 12))
+    lam = FiniteMeasure(np.ones(12))
+    seeds = derive_seed_vec(4, np.arange(200))
+    _, iters = _searches((mu, nu), lam, seeds)
+    (_, keys), = _key_tiles(np.arange(12), lam._unit[0].masses, seeds)
+    tied = _stream_head(keys, 3)[2]
+    assert (tied & (iters <= 3).all(axis=0)).sum() >= 10
+
+
+def test_pair_search_on_benchmark_measures(monkeypatch):
+    # the benchmark's finite pairs: a head per seed at support 2000, the
+    # whole stream at support 300, where K >= n as for UNIFORM3
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    seeds = derive_seed_vec(12, np.arange(120))
+    for support, seed in ((2000, 7), (300, 7), (300, 5)):
+        mu, nu, lam = inputs.make_finite_measures(seed, support)
+        _searches((mu, nu), lam, seeds)
+    _searches((REF_MU, REF_NU), UNIFORM3, derive_seed_vec(7, np.arange(300)))
+
+
+def test_collision_shares_one_stream_head(monkeypatch):
+    # astar_collision searches both measures in one call over one head of
+    # the proposal stream, and takes each measure's bound once
     mu, nu, lam = _mixture(2000, 9)
     n = 300
     seeds = derive_seed_vec(11, np.arange(n))
-    a, _ = _astar_many_discrete(mu, lam, seeds)
-    b, _ = _astar_many_discrete(nu, lam, seeds)
+    a, _ = _astar_many_discrete((mu,), lam, seeds)
+    b, _ = _astar_many_discrete((nu,), lam, seeds)
+    calls = {"search": 0, "bound": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(dense, "_astar_many_discrete", counted("search", _astar_many_discrete))
+    monkeypatch.setattr(dense, "global_bound", counted("bound", global_bound))
     assert astar_collision(mu, nu, lam, 11, n) == float(np.mean(a == b))
+    assert calls == {"search": 1, "bound": 2}
 
 
 def test_search_marginal_law():
     from scipy.stats import chisquare
 
     seeds = derive_seed_vec(5, np.arange(100_000))
-    samples, _ = _astar_many_discrete(REF_MU, UNIFORM3, seeds)
+    samples, _ = _astar_many_discrete((REF_MU,), UNIFORM3, seeds)
     counts = np.array([(samples == i).sum() for i in range(3)])
     _, pvalue = chisquare(counts, REF_MU.masses * 100_000)
     assert pvalue > 0.001
@@ -337,7 +397,7 @@ def test_concentrated_measure_mean_iterations_fixture():
     mu = FiniteMeasure((0.99,) + (0.01 / (n - 1),) * (n - 1))
     lam = FiniteMeasure((1.0,) * n)
     seeds = derive_seed_vec(2024, np.arange(2000))
-    _, iters = _astar_many_discrete(mu, lam, seeds)
+    _, iters = _astar_many_discrete((mu,), lam, seeds)
     assert float(iters.mean()) == 504.16
     assert iters.max() <= n
 

@@ -1,7 +1,10 @@
 """File formats round-trip and the CLI contract (exit codes, determinism)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -452,6 +455,8 @@ _CANONICAL_INDEX_ROWS = [
      '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "%d"}\n' % 2**64 + _BUCKET % (0, 1, "a"), 1),
 ]
 
+_PAIR_HEADER = "# jpminhash-v1\nidA,idB,jp,jw,jsd,tv,jaccard,weight\n"
+
 # (case, file role, file text, line the error must name)
 MALFORMED = [
     ("weights-list", "corpus", '{"id": "a", "weights": [1, 2]}', 1),
@@ -476,6 +481,12 @@ MALFORMED = [
     ("key-negative", "index", _HEADER + '{"band": 0, "key": "-1", "docs": ["a"]}', 2),
     ("bucket-repeated", "index", _HEADER + '{"band": 0, "key": "1", "docs": ["a"]}\n' * 2, 3),
     *_CANONICAL_INDEX_ROWS,
+    ("pair-jp-above-one", "pair", _PAIR_HEADER + "a,b,1.5,0.4,0.1,0.2,0.5,1", 3),
+    ("pair-jsd-nan", "pair", _PAIR_HEADER + "a,b,0.5,0.4,nan,0.2,0.5,1", 3),
+    ("pair-tv-negative", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,-0.2,0.5,1", 3),
+    ("pair-weight-negative", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,-1", 3),
+    ("pair-weight-nan", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,nan", 3),
+    ("pair-weight-infinite", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,0.5,0.4,0.1,0.2,0.5,inf", 4),
 ]
 
 
@@ -487,12 +498,54 @@ def test_cli_malformed_records_name_path_and_line(tmp_path, capsys, role, text, 
     bad.write_text(text + "\n", encoding="utf-8")
     if role == "corpus":
         argv = ["hash", "--corpus", str(bad), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]
+    elif role == "pair":
+        argv = ["eval", "--pairs", str(bad), "--out", str(tmp_path / "pr.csv")]
     else:
         doc = tmp_path / "doc.jsonl"
         _write_corpus(doc, [{"id": "q", "text": "apple"}])
         argv = ["query", "--index", str(bad), "--doc", str(doc)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
+def _role_argv(role, path, tmp_path):
+    """A command that reads ``path`` as a file of the given role."""
+    if role == "corpus":
+        return ["hash", "--corpus", str(path), "--k", "2", "--out", str(tmp_path / "sigs.jsonl")]
+    if role == "pair":
+        return ["eval", "--pairs", str(path), "--out", str(tmp_path / "pr.csv")]
+    doc = tmp_path / "doc.jsonl"
+    _write_corpus(doc, [{"id": "q", "text": "apple"}])
+    return ["query", "--index", str(path), "--doc", str(doc)]
+
+
+@pytest.mark.parametrize(
+    "role,text",
+    [
+        ("corpus", _OK * 3),
+        ("index", _HEADER + "".join(_BUCKET % (0, i, "d%d" % i) + "\n" for i in range(3))),
+        ("pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,1\n" * 3),
+    ],
+    ids=["corpus", "index", "pair"],
+)
+def test_cli_invalid_utf8_names_path_and_line(tmp_path, capsys, role, text):
+    # the bad byte is on line 3 of the text; a file past read_text's first
+    # decoded chunk puts it there, too, after 5,000 more lines of CRLF
+    path = tmp_path / "bad"
+    lines = text.splitlines(keepends=True)
+    for filler, line in (("", 3), (lines[-1].replace("\n", "\r\n") * 5000, 5003)):
+        path.write_bytes(("".join(lines[:2]) + filler + lines[2][:12]).encode() + b"\xff" + lines[2][12:].encode())
+        assert run(_role_argv(role, path, tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: not valid UTF-8\n"
+
+
+def test_cli_eval_pairs_whose_positives_carry_no_weight(tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(_PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,0\nc,d,0.1,0.05,0.6,0.7,0.2,1\n")
+    out = tmp_path / "pr.csv"
+    assert run(["eval", "--pairs", str(pairs), "--task", "jsd<0.25", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the positive pairs carry no weight, so recall is undefined\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -531,6 +584,30 @@ def test_cli_verify_clean_build(capsys):
     assert "PASS" in out and "FAIL" not in out
     collision_line = next(l for l in out.splitlines() if "collision-law" in l)
     assert collision_line.startswith("PASS") and "0.607692" in collision_line
+
+
+@pytest.mark.parametrize("module", ["jpminhash", "jpminhash.cli"])
+def test_cli_runs_as_a_module(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    ok = subprocess.run([sys.executable, "-m", module, "verify"], capture_output=True, text=True, env=env)
+    assert ok.returncode == 0
+    assert "checks passed" in ok.stdout and "FAIL" not in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", module, "--nope"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 1 and bad.stderr.startswith("error: ")
+
+
+def test_cli_hash_weights_summing_past_the_float_range(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [{"id": "a", "weights": {"x": 1.7e308, "y": 1.7e308, "z": 1e308}}])
+    assert run(["hash", "--corpus", str(corpus), "--k", "4", "--out", str(tmp_path / "sigs.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_hash_masses_spanning_the_float_range_warns_of_nothing(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [{"id": "a", "weights": {"x": 1e-320, "y": 1.0}}, {"id": "b", "text": "x y"}])
+    assert run(["hash", "--corpus", str(corpus), "--k", "64", "--out", str(tmp_path / "sigs.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_verify_failure_exits_2(monkeypatch, capsys):

@@ -150,6 +150,19 @@ def test_batch_signatures_empty_inputs():
             batch_signatures(batch, base_seed=0, k=4)
 
 
+def test_race_of_masses_spanning_the_float_range_warns_of_nothing():
+    # a mass below 2**-1022 of its row's largest gives an infinite key, as
+    # the scalar key is, which never wins; pytest turns a numpy warning into
+    # an error.  The second batch repeats ids, so it races from a table.
+    wide = SparseVector(((1, 1e-320), (2, 1.0)))
+    seeds = [derive_seed(8, j) for j in range(64)]
+    assert pminhash_many(wide, seeds).tolist() == [pminhash(wide, s) for s in seeds]
+    for vecs in ([wide, REF_X], [wide, SparseVector(((1, 1.0), (2, 1e-320), (3, 2.0)))]):
+        mat = batch_signatures(vecs, base_seed=8, k=64)
+        for r, v in enumerate(vecs):
+            assert mat[r].tolist() == [pminhash(v, s) for s in seeds]
+
+
 def test_collision_estimate_endpoints():
     assert collision_estimate(REF_X, REF_X, 0, 500) == 1.0
     a = SparseDistribution(((0, 1.0),))
