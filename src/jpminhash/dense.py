@@ -16,13 +16,14 @@ the largest bound of the normalized measures (a search visits about that many
 proposals); a seed whose search does not stop within its head for some
 measure, or whose head ends in a tie with a later arrival, is searched again
 for every measure over one full sort of its stream, so samples and iteration
-counts stay the scalar search's.  A finite collision estimate is one such
-call for its two measures.  Piecewise-constant densities on [0, 1) use the
-incremental form with inverse-CDF position draws.  A collision estimate on
-piecewise densities searches all its seeds in one batch, equal to the scalar
-search seed by seed in sample and iteration count; the batch takes its logs
-with ``math.log``, as the scalar stream does, so that no key depends on
-numpy's SIMD dispatch.
+counts stay the scalar search's.  Piecewise-constant densities on [0, 1) use
+the incremental form with inverse-CDF position draws; their batched search
+draws one head of each seed's stream for every density, doubling it until
+each density stops, and looks each point's piece up once for all of them.
+It takes its logs with ``math.log``, as the scalar stream does, so that no
+key depends on numpy's SIMD dispatch.  Both batches apply the stopping rule
+in one place, :func:`_visit`, and a collision estimate is one batched call
+for its two measures, of either kind.
 
 Measures store read-only float64 arrays, as sparse vectors do, and compare
 by identity.  Searches run on copies scaled by a power of two, made once per
@@ -150,9 +151,9 @@ class PiecewiseDensity:
 Measure = Union[FiniteMeasure, PiecewiseDensity]
 
 
-def refine_breakpoints(a: PiecewiseDensity, b: PiecewiseDensity) -> np.ndarray:
-    """Union of the two breakpoint sets."""
-    return np.union1d(a.breakpoints, b.breakpoints)
+def refine_breakpoints(*densities: PiecewiseDensity) -> np.ndarray:
+    """Union of the densities' breakpoint sets."""
+    return np.unique(np.concatenate([d.breakpoints for d in densities]))
 
 
 def piece_values_on(d: PiecewiseDensity, breakpoints: np.ndarray) -> np.ndarray:
@@ -341,15 +342,18 @@ def _stream_head(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     return np.take_along_axis(picked, by_key, axis=0), e, tied
 
 
-def _visit(order: np.ndarray, e: np.ndarray, ratio: np.ndarray, b: float):
-    """``(stream_pos, first, stopped)`` of each column's search over a stream head.
+def _visit(cands: np.ndarray, e: np.ndarray, rk: np.ndarray, b: float):
+    """``(sample, first, stopped)`` of each column's search over a stream head.
 
-    Mirrors :func:`astar_pminhash`: running best, first stopping index
-    (the last row when the search does not stop within the head), and the
-    earliest candidate whose key is the best at that index, which is the
-    first minimum among the visited candidates.
+    Row ``i`` of a column is its stream's ``i``-th arrival: candidate
+    ``cands``, arrival key ``e`` and ratio proposal/measure ``rk`` (``inf``
+    where the measure vanishes), which is overwritten.  Mirrors
+    :func:`astar_pminhash`: running best, first stopping index (the last row
+    when the search does not stop within the head), and the earliest
+    candidate whose key is the best at that index, which is the first
+    minimum among the visited candidates.  A search that stops before any
+    candidate with a finite key raises, as the scalar search does.
     """
-    rk = ratio[order]
     # Keys may overflow to inf, and an infinite arrival under an infinite
     # bound gives nan, which stops no search; the scalar search's floats agree.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,9 +362,12 @@ def _visit(order: np.ndarray, e: np.ndarray, ratio: np.ndarray, b: float):
         best = np.minimum.accumulate(keys, axis=0)
         stop = best <= np.divide(e, b, out=rk)  # rk is not read again: one temporary fewer
     stopped = stop.any(axis=0)
-    first = np.where(stopped, np.argmax(stop, axis=0), order.shape[0] - 1)
-    arg = np.argmax(keys == best[first, np.arange(first.shape[0])], axis=0)
-    return np.take_along_axis(order, arg[None, :], axis=0)[0], first, stopped
+    first = np.where(stopped, np.argmax(stop, axis=0), cands.shape[0] - 1)
+    cols = np.arange(first.shape[0])
+    best = best[first, cols]
+    if np.isinf(best[stopped]).any():
+        raise ValueError("measure has no mass on the proposal support")
+    return cands[np.argmax(keys == best, axis=0), cols], first, stopped
 
 
 def _head_len(b_hat: float, n: int) -> int:
@@ -413,7 +420,7 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
             hi = lo + keys.shape[1]
             order[:, lo:hi], e[:, lo:hi], undecided[lo:hi] = _stream_head(keys, k)
         for j, (ratio, b) in enumerate(searches):
-            pos[j], first, stopped = _visit(order, e, ratio, b)
+            pos[j], first, stopped = _visit(order, e, ratio[order], b)
             iterations[j] = first + 1
             undecided |= ~stopped
         redo = np.nonzero(undecided)[0]
@@ -422,83 +429,69 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
         order = np.argsort(keys, axis=0, kind="stable")
         e = np.take_along_axis(keys, order, axis=0)
         for j, (ratio, b) in enumerate(searches):
-            pos[j, at], first, _ = _visit(order, e, ratio, b)
+            pos[j, at], first, _ = _visit(order, e, ratio[order], b)
             iterations[j, at] = first + 1
     return ids[pos].ravel(), iterations.ravel()
 
 
-def _astar_many_piecewise(
-    mu: PiecewiseDensity, lam: PiecewiseDensity, seeds
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched continuous search; returns (samples, iterations) per seed.
+def _astar_many_piecewise(mus, lam: PiecewiseDensity, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Batched continuous search of each density in ``mus`` against one proposal.
 
-    Mirrors :func:`astar_pminhash` bit for bit.  The bound is computed once;
-    every unfinished seed draws the next 4 candidates of its stream at once
-    (a search visits about 2.5 on typical densities) and leaves the active
-    set at its first stopping candidate.  Arrival keys add in the scalar
-    order, from the seed's running key along the block, and their logs come
-    from ``math.log``, so no key depends on numpy's SIMD dispatch.  Seeds are
-    searched in chunks of :data:`~jpminhash.hashing.TILE_CELLS` cells, as the
-    finite batch is.
+    Returns (samples, iterations) laid out as :func:`_astar_many_discrete`
+    lays them out, equal to :func:`astar_pminhash` in sample and iteration
+    count.  The stream reads no target density, so each round draws a head
+    of ``k`` arrivals once for every undecided seed, looks each point's
+    piece up once in the common refinement of all the breakpoints, and lets
+    every density visit the head.  ``k`` starts at 4 (a search visits about
+    2.5 proposals on typical densities) and doubles for the seeds where some
+    density has not stopped.  Arrival keys add in the scalar order down the
+    head, and their logs come from ``math.log``, so no key depends on numpy's
+    SIMD dispatch.  A round hashes its seeds in tiles of about
+    :data:`~jpminhash.hashing.TILE_CELLS` cells.
     """
-    (mu, _), (lam, _) = mu._unit, lam._unit
-    b = global_bound(mu, lam)
+    lam = lam._unit[0]
+    mus = [mu._unit[0] for mu in mus]
     total = lam.total
     table = _inverse_cdf(lam)
+    bp = refine_breakpoints(lam, *mus)
+    lam_vals = piece_values_on(lam, bp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only on pieces no point falls in
+        searches = [(lam_vals / piece_values_on(mu, bp), global_bound(mu, lam)) for mu in mus]
     seeds = np.asarray(seeds, dtype=np.uint64)
-    samples = np.empty(seeds.shape[0], dtype=np.float64)
-    iterations = np.empty(seeds.shape[0], dtype=np.intp)
-    block = 4
-    step = TILE_CELLS // block
-    for lo in range(0, seeds.shape[0], step):
-        active = np.arange(lo, min(lo + step, seeds.shape[0]))
-        e = np.zeros(active.shape[0])  # running arrival key
-        best = np.full(active.shape[0], math.inf)
-        best_sample = np.full(active.shape[0], math.nan)
-        k = 0
-        while active.shape[0]:
-            ks = np.arange(k, k + block, dtype=np.uint64)
-            s = seeds[active, None]
-            u = uniform_hash_vec(ks, s)
+    samples = np.empty((len(searches), seeds.shape[0]))
+    iterations = np.empty(samples.shape, dtype=np.intp)
+    todo = np.arange(seeds.shape[0])
+    k = 4
+    while todo.shape[0]:
+        ks = np.arange(k, dtype=np.uint64)[:, None]
+        step = max(1, TILE_CELLS // k)
+        undecided = np.zeros(todo.shape[0], dtype=bool)
+        for lo in range(0, todo.shape[0], step):
+            at = todo[lo : lo + step]
+            u = uniform_hash_vec(ks, seeds[at])
             steps = -np.fromiter(map(math.log, u.ravel().tolist()), np.float64, u.size) / total
-            arrivals = np.cumsum(np.column_stack((e, steps.reshape(u.shape))), axis=1)[:, 1:]
-            points = _positions(table, uniform_hash_vec(ks ^ np.uint64(CONTINUOUS_SALT), s))
-            m_val = mu.values[np.searchsorted(mu.breakpoints, points, side="right") - 1]
-            l_val = lam.values[np.searchsorted(lam.breakpoints, points, side="right") - 1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                keys = np.where(m_val > 0.0, arrivals * (l_val / m_val), np.inf)
-            keys = np.column_stack((best, keys))  # column 0: the best so far
-            stop = np.minimum.accumulate(keys, axis=1)[:, 1:] <= arrivals / b
-            done = stop.any(axis=1)
-            last = np.where(done, np.argmax(stop, axis=1), block - 1)  # last visited
-            keys[np.arange(block + 1) > last[:, None] + 1] = np.inf
-            arg = np.argmin(keys, axis=1)  # the first minimum, as a strict < keeps
-            rows = np.arange(active.shape[0])
-            best = keys[rows, arg]
-            best_sample = np.where(arg > 0, points[rows, arg - 1], best_sample)
-            if np.isnan(best_sample[done]).any():
-                raise ValueError("measure has no mass on the proposal support")
-            samples[active[done]] = best_sample[done]
-            iterations[active[done]] = k + last[done] + 1
-            go = ~done
-            active, e, best, best_sample = active[go], arrivals[go, -1], best[go], best_sample[go]
-            k += block
-    return samples, iterations
+            e = np.cumsum(steps.reshape(u.shape), axis=0)
+            points = _positions(table, uniform_hash_vec(ks ^ np.uint64(CONTINUOUS_SALT), seeds[at]))
+            piece = np.searchsorted(bp, points, side="right") - 1
+            for j, (ratio, b) in enumerate(searches):
+                samples[j, at], first, stopped = _visit(points, e, ratio[piece], b)
+                iterations[j, at] = first + 1
+                undecided[lo : lo + step] |= ~stopped
+        todo = todo[undecided]
+        k *= 2
+    return samples.ravel(), iterations.ravel()
 
 
 def astar_collision(
     mu: Measure, nu: Measure, lam: Measure, base_seed: int, n: int
 ) -> float:
     """Fraction of n seeds on which the searches for mu and nu return the
-    same candidate; converges to the pair's ``jp`` similarity.  On finite
-    measures both searches are one batched call over one proposal stream."""
+    same candidate; converges to the pair's ``jp`` similarity.  Both
+    searches are one batched call over one proposal stream."""
     if n < 1:
         raise ValueError("n must be positive")
     if not (isinstance(mu, type(lam)) and isinstance(nu, type(lam))):
         raise ValueError("measure and proposal must be of the same kind")
-    seeds = derive_seed_vec(base_seed, np.arange(n))
-    if isinstance(lam, FiniteMeasure):
-        a, b = _astar_many_discrete((mu, nu), lam, seeds)[0].reshape(2, n)
-    else:
-        a, b = (_astar_many_piecewise(m, lam, seeds)[0] for m in (mu, nu))
+    search = _astar_many_discrete if isinstance(lam, FiniteMeasure) else _astar_many_piecewise
+    a, b = search((mu, nu), lam, derive_seed_vec(base_seed, np.arange(n)))[0].reshape(2, n)
     return float(np.mean(a == b))

@@ -41,6 +41,8 @@ PW_MU_FINE = PiecewiseDensity((0.0, 0.125, 0.5, 0.8, 1.0), (1.6, 1.6, 0.4, 0.4))
 PW_NU_FINE = PiecewiseDensity((0.0, 0.25, 0.5, 1.0), (0.4, 0.4, 1.6))
 PW_UNIFORM = PiecewiseDensity((0.0, 1.0), (1.0,))
 PW_SKEWED = PiecewiseDensity((0.0, 0.5, 1.0), (0.8, 1.2))
+# against PW_UNIFORM: a bound of 9, so searches run long, up to about 100 proposals
+PW_SPIKE = PiecewiseDensity((0.0, 0.1, 1.0), (9.0, 0.1))
 
 
 def _mixture(n: int, seed: int) -> tuple[FiniteMeasure, FiniteMeasure, FiniteMeasure]:
@@ -267,8 +269,8 @@ def test_stream_head_flags_a_tie_at_its_last_key():
     assert np.array_equal(e, np.take_along_axis(keys, whole[:3], axis=0))  # even at a tie
     # a search decided within an untied head is the search over the full sort
     ratio = np.array([1.0, 3.0, 0.5, 2.0, 1.0, 1.5])
-    head = _visit(order, e, ratio, 2.0)
-    full = _visit(whole, np.take_along_axis(keys, whole, axis=0), ratio, 2.0)
+    head = _visit(order, e, ratio[order], 2.0)
+    full = _visit(whole, np.take_along_axis(keys, whole, axis=0), ratio[whole], 2.0)
     decided = head[2] & ~tied
     assert decided.sum() == 2
     for got, want in zip(head, full):
@@ -279,11 +281,13 @@ def _searches(mus, lam, seeds):
     """``(samples, iters)`` of one batch search of every measure in ``mus``, one row per measure.
 
     Asserts that each row equals the batch search of its measure alone and
-    the scalar search, seed by seed.
+    the scalar search, seed by seed.  The batch is the finite or the
+    piecewise one, after the kind of ``lam``.
     """
-    samples, iters = (a.reshape(len(mus), len(seeds)) for a in _astar_many_discrete(mus, lam, seeds))
+    batch = _astar_many_discrete if isinstance(lam, FiniteMeasure) else _astar_many_piecewise
+    samples, iters = (a.reshape(len(mus), len(seeds)) for a in batch(mus, lam, seeds))
     for mu, got_samples, got_iters in zip(mus, samples, iters):
-        alone = _astar_many_discrete((mu,), lam, seeds)
+        alone = batch((mu,), lam, seeds)
         assert np.array_equal(got_samples, alone[0]) and np.array_equal(got_iters, alone[1])
         scalar = [astar_pminhash(mu, lam, int(s)) for s in seeds]
         assert got_samples.tolist() == [r.sample for r in scalar]
@@ -358,14 +362,8 @@ def test_pair_search_on_benchmark_measures(monkeypatch):
     _searches((REF_MU, REF_NU), UNIFORM3, derive_seed_vec(7, np.arange(300)))
 
 
-def test_collision_shares_one_stream_head(monkeypatch):
-    # astar_collision searches both measures in one call over one head of
-    # the proposal stream, and takes each measure's bound once
-    mu, nu, lam = _mixture(2000, 9)
-    n = 300
-    seeds = derive_seed_vec(11, np.arange(n))
-    a, _ = _astar_many_discrete((mu,), lam, seeds)
-    b, _ = _astar_many_discrete((nu,), lam, seeds)
+def _count_calls(monkeypatch, batch: str) -> dict:
+    """Counts, from here on, of the calls to ``dense.<batch>`` and to ``global_bound``."""
     calls = {"search": 0, "bound": 0}
 
     def counted(name, f):
@@ -374,10 +372,42 @@ def test_collision_shares_one_stream_head(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(dense, "_astar_many_discrete", counted("search", _astar_many_discrete))
+    monkeypatch.setattr(dense, batch, counted("search", getattr(dense, batch)))
     monkeypatch.setattr(dense, "global_bound", counted("bound", global_bound))
+    return calls
+
+
+def test_collision_shares_one_stream_head(monkeypatch):
+    # astar_collision searches both measures in one call over one head of
+    # the proposal stream, and takes each measure's bound once
+    mu, nu, lam = _mixture(2000, 9)
+    n = 300
+    seeds = derive_seed_vec(11, np.arange(n))
+    a, _ = _astar_many_discrete((mu,), lam, seeds)
+    b, _ = _astar_many_discrete((nu,), lam, seeds)
+    calls = _count_calls(monkeypatch, "_astar_many_discrete")
     assert astar_collision(mu, nu, lam, 11, n) == float(np.mean(a == b))
     assert calls == {"search": 1, "bound": 2}
+
+
+def test_searches_raise_where_the_measure_has_no_candidate():
+    # mu weighs only elements whose arrival keys may overflow to inf; on 4 of
+    # these seeds the scalar search stops at an infinite arrival before any
+    # candidate of mu and raises, and so do the batches
+    mu, lam = FiniteMeasure((0, 0, 1, 1, 1)), FiniteMeasure((1, 1, 6e-309, 6e-309, 6e-309))
+    seeds = derive_seed_vec(1, np.arange(40))
+    raised = 0
+    for s in seeds.tolist():
+        try:
+            astar_pminhash(mu, lam, s)
+        except ValueError as err:
+            assert str(err) == "measure has no mass on the proposal support"
+            raised += 1
+    assert raised == 4
+    with pytest.raises(ValueError, match="no mass on the proposal support"):
+        _astar_many_discrete((mu,), lam, seeds)
+    with pytest.raises(ValueError, match="no mass on the proposal support"):
+        astar_collision(mu, mu, lam, 1, 40)
 
 
 def test_search_marginal_law():
@@ -442,32 +472,69 @@ def test_collision_invariant_under_breakpoint_refinement():
 
 
 def test_piecewise_batch_matches_scalar():
-    # equal samples and equal iteration counts, seed for seed.  The batch
-    # draws 4 candidates per seed and step, in chunks of TILE_CELLS // 4
-    # seeds: the first case spans two chunks.  Zero pieces in the measure and
-    # in the proposal, and a bound of 9 (long searches), are covered too.
-    block = 4
-    chunk = TILE_CELLS // block
+    # equal samples and equal iteration counts, seed for seed, for each
+    # density alone and for a pair searched in one call.  The first round
+    # hashes TILE_CELLS // 4 seeds per tile: the first case spans two tiles.
+    # Pairs on different breakpoints look their ratios up in the common
+    # refinement.  Zero pieces in the measure and in the proposal, and a
+    # bound of 9 (long searches), are covered too.
+    tile = TILE_CELLS // 4
     gap = PiecewiseDensity((0.0, 0.25, 0.75, 1.0), (3.0, 0.0, 1.0))
+    gap_flat = PiecewiseDensity((0.0, 0.25, 0.75, 1.0), (1.0, 0.0, 1.0))
     gap_lam = PiecewiseDensity((0.0, 0.25, 0.75, 1.0), (1.0, 0.0, 3.0))
-    spike = PiecewiseDensity((0.0, 0.1, 1.0), (9.0, 0.1))
-    cases = [(PW_MU, PW_UNIFORM, chunk + 300)] + [
-        (m, lam, 300)
-        for m in (PW_NU, PW_MU_FINE, PW_NU_FINE)
-        for lam in (PW_UNIFORM, PW_SKEWED)
-    ] + [(PW_MU, PW_SKEWED, 300), (gap, gap_lam, 1000), (spike, PW_UNIFORM, 1000)]
-    for mu, lam, count in cases:
-        seeds = derive_seed_vec(41, np.arange(count))
-        samples, iters = _astar_many_piecewise(mu, lam, seeds)
-        for i, s in enumerate(seeds):
-            res = astar_pminhash(mu, lam, int(s))
-            assert res.sample == samples[i]
-            assert res.iterations == iters[i]
-    assert iters.max() > 4 * block  # the spike needs several steps
+    cases = [
+        ((PW_MU, PW_NU), PW_UNIFORM, tile + 300),
+        ((PW_MU_FINE, PW_NU_FINE), PW_UNIFORM, 300),
+        ((PW_NU, PW_MU_FINE), PW_SKEWED, 300),
+        ((PW_NU_FINE, PW_MU), PW_SKEWED, 300),
+        ((gap, gap_flat), gap_lam, 1000),
+        ((PW_SPIKE, PW_MU_FINE), PW_UNIFORM, 1000),
+    ]
+    for mus, lam, count in cases:
+        _, iters = _searches(mus, lam, derive_seed_vec(41, np.arange(count)))
+    assert iters[0].max() > 4 * 4  # the spike needs several doublings
     with pytest.raises(ValueError, match="same kind"):
         astar_collision(PW_MU, REF_MU, PW_UNIFORM, 0, 10)
     with pytest.raises(ValueError, match="same kind"):
         astar_collision(REF_MU, REF_NU, PW_UNIFORM, 0, 10)
+
+
+def test_piecewise_pair_doubles_the_head_for_either_density():
+    # the uniform density stops at its first proposal, the spike needs
+    # several doublings of the head: its seeds are searched again whichever
+    # place it takes in the pair
+    seeds = derive_seed_vec(47, np.arange(500))
+    for mus in ((PW_UNIFORM, PW_SPIKE), (PW_SPIKE, PW_UNIFORM)):
+        _, iters = _searches(mus, PW_UNIFORM, seeds)
+        assert (iters[mus.index(PW_UNIFORM)] == 1).all()
+        assert iters[mus.index(PW_SPIKE)].max() > 4 * 8
+
+
+def test_piecewise_pair_shares_one_stream(monkeypatch):
+    # on the benchmark's piecewise densities a pair hashes fewer cells than
+    # its two single searches together, and a collision is one batch call
+    # with one bound per density
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    mu, nu, lam = inputs.make_piecewise_densities(1501, 64)
+    seeds = derive_seed_vec(1501, np.arange(600))
+    samples, _ = _searches((mu, nu), lam, seeds)
+    cells = []
+
+    def counted(ids, seeds):
+        u = uniform_hash_vec(ids, seeds)
+        cells[-1] += u.size
+        return u
+
+    monkeypatch.setattr(dense, "uniform_hash_vec", counted)
+    for mus in ((mu,), (nu,), (mu, nu)):
+        cells.append(0)
+        _astar_many_piecewise(mus, lam, seeds)
+    assert cells[2] < cells[0] + cells[1]
+    calls = _count_calls(monkeypatch, "_astar_many_piecewise")
+    assert astar_collision(mu, nu, lam, 1501, 600) == float(np.mean(samples[0] == samples[1]))
+    assert calls == {"search": 1, "bound": 2}
 
 
 def _pw_scaled(d: PiecewiseDensity, factor: float) -> PiecewiseDensity:
@@ -491,8 +558,8 @@ def test_piecewise_searches_rescale():
             cases.append((_pw_scaled(mu, s), _pw_scaled(lam, 1 / s), mu, lam, s))
     seeds = derive_seed_vec(43, np.arange(300))
     for mu, lam, mu1, lam1, s in cases:
-        samples, iters = _astar_many_piecewise(mu, lam, seeds)
-        samples1, iters1 = _astar_many_piecewise(mu1, lam1, seeds)
+        samples, iters = _astar_many_piecewise((mu,), lam, seeds)
+        samples1, iters1 = _astar_many_piecewise((mu1,), lam1, seeds)
         assert np.array_equal(samples, samples1) and np.array_equal(iters, iters1)
         for seed in seeds[:30].tolist():
             res, res1 = astar_pminhash(mu, lam, seed), astar_pminhash(mu1, lam1, seed)

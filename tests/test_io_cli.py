@@ -436,6 +436,25 @@ def test_cli_eval_rejects_degenerate_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_cli_rejects_flags_and_files_with_nothing_to_read(tmp_path, capsys):
+    doc, empty, blank = tmp_path / "doc.jsonl", tmp_path / "empty.jsonl", tmp_path / "blank.jsonl"
+    _write_corpus(doc, [{"id": "q", "text": "apple"}])
+    empty.write_text("")
+    _write_corpus(blank, [{"id": "a", "text": ""}, {"id": "b", "text": "!!"}])
+    out = tmp_path / "out"
+    for argv, err in [
+        (["query", "--index", str(empty), "--doc", str(doc)], f"error: {empty}: empty index file\n"),
+        (["hash", "--corpus", str(blank), "--k", "2", "--out", str(out)],
+         f"warning: skipped 2 empty document(s)\nerror: {blank}: no usable documents\n"),
+        (["hash", "--corpus", str(doc), "--k", "0", "--out", str(out)], "error: --k must be positive\n"),
+        (["eval", "--synthetic", "20", "--grid", "2y4", "--out", str(out)],
+         "error: argument --grid: invalid grid entry '2y4'; expected AxO\n"),
+    ]:
+        assert run(argv) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
 _OK = '{"id": "a", "text": "ok"}\n'
 _HEADER = '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "0"}\n'
 
@@ -460,6 +479,8 @@ _PAIR_HEADER = "# jpminhash-v1\nidA,idB,jp,jw,jsd,tv,jaccard,weight\n"
 # (case, file role, file text, line the error must name)
 MALFORMED = [
     ("weights-list", "corpus", '{"id": "a", "weights": [1, 2]}', 1),
+    ("record-list", "corpus", "[1, 2]", 1),
+    ("id-missing", "corpus", '{"text": "x"}', 1),
     ("text-number", "corpus", '{"id": "a", "text": 5}', 1),
     ("id-number", "corpus", _OK + '{"id": 7, "text": "ok"}', 2),
     ("weight-negative", "corpus", _OK + '{"id": "b", "weights": {"u": -1.0}}', 2),
@@ -470,6 +491,8 @@ MALFORMED = [
     ("docs-mixed", "index", _HEADER + '{"band": 0, "key": "1", "docs": [1, "b"]}', 2),
     ("band-text", "index", _HEADER + '{"band": "x", "key": "1", "docs": ["a"]}', 2),
     ("key-missing", "index", _HEADER + '{"band": 0, "docs": ["a"]}', 2),
+    ("header-kind-sigs", "index", '{"v": 1, "kind": "sigs"}', 1),
+    ("header-o-missing", "index", '{"v": 1, "kind": "index", "a": 1, "seed": "0"}', 1),
     ("seed-negative", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "-1"}', 1),
     ("a-zero", "index", '{"v": 1, "kind": "index", "a": 0, "o": 2, "seed": "0"}', 1),
     ("o-infinite", "index", '{"v": 1, "kind": "index", "a": 1, "o": Infinity, "seed": "0"}', 1),
