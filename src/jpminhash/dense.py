@@ -277,7 +277,9 @@ def astar_pminhash(
     the search stops once the best key is at most ``e_k / B``, after which no
     later candidate can win.  For finite measures the result equals
     ``pminhash`` on the same seed, element for element.  Exact key ties keep
-    the earlier-visited candidate.
+    the earlier-visited candidate.  A continuous search whose bound is past
+    the float range raises ``ValueError("unbounded ratio")``, as its endless
+    stream would never stop it; a finite stream ends, so its search runs.
     """
     (mu, exp), (lam, _) = mu._unit, lam._unit
     b = global_bound(mu, lam)
@@ -287,6 +289,8 @@ def astar_pminhash(
     else:
         if not early_termination:
             raise ValueError("cannot exhaust a continuous proposal stream")
+        if math.isinf(b):  # no arrival would stop the endless stream
+            raise ValueError("unbounded ratio")
         mu_of = mu.density_at
         lam_of = lam.density_at
     best = math.inf
@@ -405,7 +409,7 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
         mu = mu._unit[0]
         b = global_bound(mu, lam)
         mu_vals = mu.masses[ids]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # past the float range: inf, massless
             ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
         searches.append((ratio, b))
         k = max(k, _head_len(b * lam.total / mu.total, ids.shape[0]))
@@ -447,7 +451,8 @@ def _astar_many_piecewise(mus, lam: PiecewiseDensity, seeds) -> tuple[np.ndarray
     density has not stopped.  Arrival keys add in the scalar order down the
     head, and their logs come from ``math.log``, so no key depends on numpy's
     SIMD dispatch.  A round hashes its seeds in tiles of about
-    :data:`~jpminhash.hashing.TILE_CELLS` cells.
+    :data:`~jpminhash.hashing.TILE_CELLS` cells.  An infinite bound raises,
+    as in :func:`astar_pminhash`.
     """
     lam = lam._unit[0]
     mus = [mu._unit[0] for mu in mus]
@@ -455,8 +460,11 @@ def _astar_many_piecewise(mus, lam: PiecewiseDensity, seeds) -> tuple[np.ndarray
     table = _inverse_cdf(lam)
     bp = refine_breakpoints(lam, *mus)
     lam_vals = piece_values_on(lam, bp)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only on pieces no point falls in
+    # 0 / 0 only on pieces no point falls in; a ratio past the float range is inf, massless
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         searches = [(lam_vals / piece_values_on(mu, bp), global_bound(mu, lam)) for mu in mus]
+    if any(math.isinf(b) for _, b in searches):
+        raise ValueError("unbounded ratio")
     seeds = np.asarray(seeds, dtype=np.uint64)
     samples = np.empty((len(searches), seeds.shape[0]))
     iterations = np.empty(samples.shape, dtype=np.intp)

@@ -259,56 +259,93 @@ def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
     _write_text(path, lines)
 
 
+def _int_range(n: int) -> str:
+    """A group-free pattern for the decimal integers in ``[0, n]`` without leading zeros.
+
+    The alternatives come longest first: for each digit of ``n`` where a
+    smaller digit fits, the numbers that share ``n``'s digits before it and
+    have that smaller digit, then ``n``, then the shorter numbers.  A number
+    as long as ``n`` thus matches before any shorter alternative is tried.
+    """
+    s = str(n)
+    alts = []
+    for i, d in enumerate(map(int, s)):
+        lo = 0 if i else 1  # no leading zero
+        if d > lo:
+            alts.append("%s[%d-%d][0-9]{%d}" % (s[:i], lo, d - 1, len(s) - i - 1))
+    alts.append(s)
+    if len(s) > 1:
+        alts.append("[1-9][0-9]{0,%d}" % (len(s) - 2))
+    if n:
+        alts.append("0")
+    return "(?:%s)" % "|".join(alts)
+
+
 # The header and a bucket line of the canonical index file, as
 # write_index_jsonl writes them: ASCII only.  Strings hold printable
 # characters and JSON escapes, which is all json.dumps emits with its default
-# ensure_ascii; numbers have no leading zeros.  The character class excludes
-# the quote and the backslash, and each escape starts with a backslash, so a
-# string matches in one way only and a failed match backtracks in linear time.
-_NUM = r"(0|[1-9][0-9]{0,19})"
+# ensure_ascii; numbers have no leading zeros, and each range check is in the
+# pattern.  The character class excludes the quote and the backslash, and
+# each escape starts with a backslash, so a string matches in one way only
+# and a failed match backtracks in linear time.  Both are compiled on the
+# first read, through re's cache, so an import compiles neither; the bucket
+# line's band range is filled in from the header's ``o``.
+_UINT64 = _int_range(MAX_ID)
 _CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\\'
 _STR = r'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*"' % (_CHARS, _CHARS)
-_CANONICAL_HEADER = re.compile(
-    r'\{"v": 1, "kind": "index", "a": ([1-9][0-9]{0,9}), "o": ([1-9][0-9]{0,9}), "seed": "%s"\}\n'
-    % _NUM
+_CANONICAL_HEADER = (  # groups: a, o, seed
+    r'\{"v": 1, "kind": "index", "a": ([1-9][0-9]{0,9}), "o": ([1-9][0-9]{0,9}), "seed": "(%s)"\}\n'
+    % _UINT64
 )
-_CANONICAL_BUCKET = re.compile(  # groups: band, key, docs
-    r'\{"band": %s, "key": "%s", "docs": (\[(?:%s(?:, %s)*)?\])\}\n' % (_NUM, _NUM, _STR, _STR)
+_CANONICAL_BUCKET = (  # groups: the bucket's text (see _bucket_text), docs; %s is the band
+    r'\{"band": (%%s, "key": "%s)", "docs": (\[(?:%s(?:, %s)*)?\])\}\n' % (_UINT64, _STR, _STR)
 )
+_KEY_SEP = ', "key": "'
 
 
-def _slot(bucket) -> int | None:
-    """``band << 64 | key`` for a bucket ``(band, key)`` of integers, else None."""
+def _canonical_bucket(o: int) -> re.Pattern[str]:
+    """The pattern of a canonical bucket line under a header's ``o``."""
+    return re.compile(_CANONICAL_BUCKET % _int_range(o - 1))
+
+
+def _bucket_text(bucket) -> str | None:
+    """A bucket ``(band, key)`` of 64-bit integers as its line's text, else None.
+
+    The text runs from ``band`` through ``key``: ``band, "key": "key``.
+    """
     try:
         band, key = map(operator.index, bucket)
     except (TypeError, ValueError):
         return None
-    return band << 64 | key if band >= 0 and 0 <= key <= MAX_ID else None
+    return "%d%s%d" % (band, _KEY_SEP, key) if 0 <= band <= MAX_ID and 0 <= key <= MAX_ID else None
 
 
 class _LazyBuckets(Mapping):
     """Read-only buckets that keep each bucket's ``docs`` JSON text and decode it on lookup.
 
-    ``raw`` maps ``band << 64 | key`` to the text; integer keys make no
-    object the garbage collector tracks, however many buckets there are.
+    ``raw`` maps each bucket's line text from ``band`` through ``key``, which
+    is canonical (:func:`_bucket_text`), to its ``docs`` text; a lookup
+    formats its bucket into that text, and iteration parses the text back.
+    String keys and values make no object the garbage collector tracks,
+    however many buckets there are.
     """
 
     __slots__ = ("_raw",)
 
-    def __init__(self, raw: dict[int, str]) -> None:
+    def __init__(self, raw: dict[str, str]) -> None:
         self._raw = raw
 
     def __getitem__(self, bucket: tuple[int, int]) -> tuple[str, ...]:
-        text = self._raw.get(_slot(bucket))
+        text = self._raw.get(_bucket_text(bucket))
         if text is None:
             raise KeyError(bucket)
         return tuple(json.loads(text))
 
     def __contains__(self, bucket) -> bool:
-        return _slot(bucket) in self._raw
+        return _bucket_text(bucket) in self._raw
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((slot >> 64, slot & MAX_ID) for slot in self._raw)
+        return (tuple(map(int, text.split(_KEY_SEP))) for text in self._raw)
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -319,20 +356,19 @@ def _read_canonical_index(text: str) -> InvertedIndex | None:
 
     Every check of :func:`_read_index_json` holds for a text this accepts,
     which then reads to the same index; anything else is left to that reader.
+    The pattern scan makes every check but the one for repeated buckets,
+    which is one comparison of sizes.
     """
-    header = _CANONICAL_HEADER.match(text)
+    header = re.match(_CANONICAL_HEADER, text)
     if header is None:
         return None
     a, o, seed = map(int, header.groups())
-    # (text between lines, band, key, docs) per line, and the text after the last
-    parts = _CANONICAL_BUCKET.split(text[header.end():])
-    if seed > MAX_ID or any(parts[0::4]):  # no text outside the matched lines
+    # (text between lines, bucket text, docs) per line, and the text after the last
+    parts = _canonical_bucket(o).split(text[header.end():])
+    if any(parts[0::3]):  # no text outside the matched lines
         return None
-    bands, keys = list(map(int, parts[1::4])), list(map(int, parts[2::4]))
-    if bands and (max(bands) >= o or max(keys) > MAX_ID):
-        return None
-    raw = dict(zip([band << 64 | key for band, key in zip(bands, keys)], parts[3::4]))
-    if len(raw) != len(bands):  # a repeated bucket
+    raw = dict(zip(parts[1::3], parts[2::3]))
+    if len(raw) != len(parts) // 3:  # a repeated bucket
         return None
     return InvertedIndex(_LazyBuckets(raw), BandingScheme(a=a, o=o, base_seed=seed))
 
@@ -347,9 +383,11 @@ def read_index_jsonl(path: str | Path) -> InvertedIndex:
 
     A file in the canonical form that :func:`write_index_jsonl` writes
     (ASCII, one ``json.dumps`` object per line, numbers without leading
-    zeros) is validated in one pattern scan over its text, and its
-    ``buckets`` is a read-only mapping that decodes a bucket's ``docs`` only
-    when the bucket is looked up; a query decodes its ``o`` buckets.  Any
+    zeros) is validated in one pattern scan over its text, whose patterns
+    hold the range checks of ``band`` and ``key`` too.  Its ``buckets`` is a
+    read-only mapping keyed by each bucket's line text, which no bucket's
+    numbers are parsed from, and it decodes a bucket's ``docs`` only when
+    the bucket is looked up; a query decodes its ``o`` buckets.  Any
     other file, and any canonical file that fails a check, is read from the
     same text by the line-by-line JSON reader, which accepts the same files,
     returns equal buckets and raises each error with its ``path:line``; such

@@ -580,6 +580,33 @@ def test_continuous_search_marginal():
     assert abs(hits / n - 0.8) <= sigma_band(0.8, n)
 
 
+def test_piecewise_searches_raise_on_an_infinite_bound():
+    # the bound overflows, so no arrival of the endless stream could stop
+    # either search; a finite stream ends, so there the bound stays valid
+    mu, lam = PiecewiseDensity((0, 0.5, 1), (1, 1)), PiecewiseDensity((0, 0.5, 1), (1, 1e-310))
+    assert global_bound(mu._unit[0], lam._unit[0]) == math.inf
+    with pytest.raises(ValueError, match="unbounded ratio"):
+        astar_pminhash(mu, lam, 0)
+    with pytest.raises(ValueError, match="unbounded ratio"):
+        _astar_many_piecewise((mu,), lam, derive_seed_vec(1, np.arange(10)))
+    finite_mu, finite_lam = FiniteMeasure((1, 1)), FiniteMeasure((1, 1e-310))
+    assert global_bound(finite_mu._unit[0], finite_lam._unit[0]) == math.inf
+    _searches((finite_mu,), finite_lam, derive_seed_vec(1, np.arange(50)))
+
+
+def test_batches_take_a_ratio_past_the_float_range_as_massless():
+    # the proposal over a subnormal mass or density overflows to inf without
+    # a warning, as the scalar search's float division does, and the batches
+    # equal the scalar search seed for seed
+    seeds = derive_seed_vec(1, np.arange(200))
+    tiny = FiniteMeasure((1, 1e-310))
+    _searches((tiny, tiny), FiniteMeasure((1, 1)), seeds)
+    assert astar_collision(tiny, tiny, FiniteMeasure((1, 1)), 1, 200) == 1.0
+    pw_tiny = PiecewiseDensity((0, 0.5, 1), (1, 1e-310))
+    _searches((pw_tiny, pw_tiny), PiecewiseDensity((0, 0.5, 1), (1, 1)), seeds)
+    assert astar_collision(pw_tiny, pw_tiny, PiecewiseDensity((0, 0.5, 1), (1, 1)), 1, 200) == 1.0
+
+
 def test_continuous_exhaustive_mode_rejected():
     lam = PiecewiseDensity((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError, match="exhaust"):

@@ -206,9 +206,39 @@ def test_index_fast_path_agrees_with_json_path(index):
     assert dict(fast.buckets) == json_path.buckets
 
 
+def test_canonical_index_fast_path_reads_the_largest_band_and_key(tmp_path):
+    index = InvertedIndex({(0, 0): ("a",), (9, MAX_ID): ("b", "c")}, BandingScheme(1, 10, MAX_ID))
+    path = tmp_path / "index.jsonl"
+    jio.write_index_jsonl(path, index)
+    got = jio.read_index_jsonl(path)
+    assert isinstance(got.buckets, jio._LazyBuckets)
+    assert got.scheme == index.scheme and dict(got.buckets) == index.buckets
+    assert got.buckets[(9, MAX_ID)] == ("b", "c")
+    for absent in ((10, MAX_ID), (9, MAX_ID + 1), (-1, 0), (10**5000, 0), (0, "0"), (0,), None):
+        assert absent not in got.buckets
+
+
+_POWERS = [10**e + d for e in range(21) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, MAX_ID) | st.sampled_from([p for p in _POWERS if 0 <= p <= MAX_ID] + [MAX_ID]),
+    st.data(),
+)
+def test_int_range_pattern_is_integer_comparison(n, data):
+    value = data.draw(
+        st.integers(max(0, n - 3), n + 3) | st.sampled_from(_POWERS) | st.integers(0, 2 * MAX_ID)
+    )
+    zeros = data.draw(st.integers(0, 2))
+    text = "0" * zeros + str(value)
+    assert bool(re.fullmatch(jio._int_range(n), text)) == (value <= n and (zeros == 0 or text == "0"))
+
+
 def test_canonical_index_patterns_use_python_310_syntax():
     # possessive quantifiers and atomic groups need Python 3.11's re; the package supports 3.10
-    for pattern in (jio._CANONICAL_HEADER, jio._CANONICAL_BUCKET):
+    buckets = [jio._canonical_bucket(o) for o in (1, 2, 9, 10, 16, 9999999999)]
+    for pattern in (re.compile(jio._CANONICAL_HEADER), *buckets):
         assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern)
 
 
@@ -472,6 +502,9 @@ _CANONICAL_INDEX_ROWS = [
     ("band-out-of-range-after-2000", "index", _AFTER_2000 + _BUCKET % (2, 7, "a"), 2002),
     ("seed-above-64-bits", "index",
      '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "%d"}\n' % 2**64 + _BUCKET % (0, 1, "a"), 1),
+    ("key-twenty-nines", "index", _HEADER + _BUCKET % (0, 10**20 - 1, "a"), 2),
+    ("band-ten-of-o-ten", "index",
+     _HEADER.replace('"o": 2', '"o": 10') + _BUCKET % (9, 1, "a") + "\n" + _BUCKET % (10, 1, "b"), 3),
 ]
 
 _PAIR_HEADER = "# jpminhash-v1\nidA,idB,jp,jw,jsd,tv,jaccard,weight\n"
