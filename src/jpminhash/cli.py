@@ -9,6 +9,7 @@ failure from ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return grid
 
 
+@functools.cache  # parsing keeps no state in the parser, and every default is immutable
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="jpminhash", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,7 +82,7 @@ def _build_parser() -> _ArgumentParser:
     esrc = p_eval.add_mutually_exclusive_group(required=True)
     esrc.add_argument("--pairs", type=Path, help="pair-sample CSV")
     esrc.add_argument("--synthetic", type=int, help="generate N synthetic pairs")
-    p_eval.add_argument("--grid", type=_parse_grid, default=list(harness.DEFAULT_GRID))
+    p_eval.add_argument("--grid", type=_parse_grid, default=harness.DEFAULT_GRID)
     p_eval.add_argument("--task", default="jsd<0.25")
     p_eval.add_argument("--mode", choices=("analytic", "empirical"), default="analytic")
     p_eval.add_argument("--replicates", type=int, default=50)
@@ -203,6 +205,9 @@ def run(argv: list[str] | None = None) -> int:
         return handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

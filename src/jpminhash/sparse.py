@@ -220,11 +220,36 @@ def _normalize_rows(masses: np.ndarray, bounds) -> np.ndarray:
     A row is scaled with :func:`_scale_rows` and divided by the
     ``math.fsum`` of its scaled masses.  No row may be empty or all zero;
     zeros inside a row stay zero and change no other mass.
+
+    The totals are ``math.fsum``'s bits, found for all rows at once by an
+    error-free split of each mass (as in the extraction of Rump, Ogita and
+    Oishi, "Accurate Floating-Point Summation Part I", 2008).  A scaled mass
+    ``s`` lies in [0, 1); ``high = floor(s * 2**40)`` and
+    ``low = floor(frac * 2**40)``, with ``frac = s * 2**40 - high``, are
+    exact integers below 2**40, and ``s`` exceeds
+    ``high * 2**-40 + low * 2**-80`` by less than 2**-80.  In a row of
+    n < 2**13 entries every partial sum of ``high`` or of ``low`` is an
+    integer below 2**53, so ``np.add.reduceat`` sums them exactly in any
+    order, and the row's exact total lies in
+    ``[hi + mid, hi + mid + n * 2**-80)`` for ``hi = sum(high) * 2**-40``
+    and ``mid = sum(low) * 2**-80``.  Rounding to nearest is monotonic, so
+    when ``hi + mid`` rounds to the same double as
+    ``hi + (mid + n * 2**-79)``, an upper end past that interval even after
+    its inner rounding, so does the exact total: that double is the row's
+    ``math.fsum``.  A row where the two differ, as near a tie, or of 2**13
+    entries or more, is summed by ``math.fsum``.
     """
     masses = _scale_rows(masses, bounds)
-    ends = np.asarray(bounds).tolist()
-    totals = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])]
-    return masses / np.repeat(totals, np.diff(ends))
+    bounds = np.asarray(bounds)
+    lengths = np.diff(bounds)
+    frac, high = np.modf(masses * 2.0**40)
+    hi = np.add.reduceat(high, bounds[:-1]) * 2.0**-40
+    mid = np.add.reduceat(np.floor(frac * 2.0**40), bounds[:-1]) * 2.0**-80
+    totals = hi + mid
+    unsure = (hi + (mid + lengths * 2.0**-79) != totals) | (lengths >= 2**13)
+    for r in np.flatnonzero(unsure).tolist():
+        totals[r] = math.fsum(masses[bounds[r]:bounds[r + 1]].tolist())
+    return masses / np.repeat(totals, lengths)
 
 
 def _distributions(ids: np.ndarray, masses: np.ndarray, row_len) -> tuple[list, np.ndarray]:

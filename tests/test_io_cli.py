@@ -652,6 +652,55 @@ def test_cli_runs_as_a_module(module):
     assert bad.returncode == 1 and bad.stderr.startswith("error: ")
 
 
+def test_cli_runs_in_one_process_as_each_runs_alone(tmp_path, capsys):
+    from jpminhash import cli
+
+    corpus, doc, index = tmp_path / "corpus.jsonl", tmp_path / "doc.jsonl", tmp_path / "index.jsonl"
+    _write_corpus(corpus, [{"id": "d1", "text": "apple banana"}, {"id": "d2", "text": "apple cherry"}])
+    _write_corpus(doc, [{"id": "q", "text": "apple banana"}])
+    assert run(["index", "--corpus", str(corpus), "--a", "1", "--o", "4", "--out", str(index)]) == 0
+    capsys.readouterr()
+
+    def argvs(tag):
+        return [
+            ["sim", "--synthetic", "3", "--seed", "5", "--out", str(tmp_path / f"sim-{tag}.csv")],
+            ["eval", "--synthetic", "3", "--grid", "2x", "--out", str(tmp_path / f"eval-{tag}.csv")],
+            ["query", "--index", str(index), "--doc", str(doc)],
+        ]
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    alone = []
+    for argv in argvs("alone"):
+        done = subprocess.run([sys.executable, "-m", "jpminhash", *argv], capture_output=True, text=True, env=env)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    together = []
+    for argv in argvs("together"):
+        code = run(argv)
+        together.append((code, *capsys.readouterr()))
+    assert together == alone
+    assert [c for c, _, _ in alone] == [0, 1, 0] and "d1" in alone[2][1]
+    assert (tmp_path / "sim-together.csv").read_bytes() == (tmp_path / "sim-alone.csv").read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "message, err",
+    [
+        ("Unable to allocate 74.5 GiB for an array", "error: Unable to allocate 74.5 GiB for an array\n"),
+        ("", "error: out of memory\n"),
+    ],
+)
+def test_cli_allocation_failure_exits_1_with_a_message(tmp_path, capsys, monkeypatch, message, err):
+    from jpminhash import harness
+
+    def too_big(*args, **kwargs):  # never a real huge allocation: under overcommit one can succeed
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "synth_pairs", too_big)
+    assert run(["sim", "--synthetic", "3", "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_cli_hash_weights_summing_past_the_float_range(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     _write_corpus(corpus, [{"id": "a", "weights": {"x": 1.7e308, "y": 1.7e308, "z": 1e308}}])
