@@ -8,22 +8,24 @@ realized by sorting the per-element exponential keys of the proposal, which
 is distributionally identical to drawing incremental truncated exponentials
 and makes the result coincide exactly, seed by seed, with the sparse sampler
 applied to the measure.  The scalar search sorts every key up front and is
-the seed-for-seed oracle for ``pminhash``.  The batched finite search runs
-any number of measures against one proposal in one call: the stream reads no
-target measure, so each seed's stream is hashed once and one head of it,
-picked by partition, serves every measure.  The head's length follows from
-the largest bound of the normalized measures (a search visits about that many
-proposals); a seed whose search does not stop within its head for some
-measure, or whose head ends in a tie with a later arrival, is searched again
-for every measure over one full sort of its stream, so samples and iteration
-counts stay the scalar search's.  Piecewise-constant densities on [0, 1) use
-the incremental form with inverse-CDF position draws; their batched search
-draws one head of each seed's stream for every density, doubling it until
-each density stops, and looks each point's piece up once for all of them.
-It takes its logs with ``math.log``, as the scalar stream does, so that no
-key depends on numpy's SIMD dispatch.  Both batches apply the stopping rule
-in one place, :func:`_visit`, and a collision estimate is one batched call
-for its two measures, of either kind.
+the seed-for-seed oracle for ``pminhash``.  Piecewise-constant densities on
+[0, 1) use the incremental form with inverse-CDF position draws.
+
+One batched search, :func:`_search`, runs any number of measures of either
+kind against one proposal in one call: the stream reads no target measure,
+so each seed's head of ``k`` arrivals is drawn once and every measure visits
+it.  A seed whose head may not be its stream's, or where some measure's
+search has not stopped within the head, is searched again over a head twice
+as long, until the head is the whole stream; so samples and iteration
+counts stay the scalar search's.  The two kinds differ only in how a head is
+drawn.  A finite head is picked by partition from the hashed keys, first as
+long as the largest bound of the normalized measures suggests (a search
+visits about that many proposals); a piecewise head is drawn incrementally,
+looking each point's piece up once in the common refinement, with its logs
+from ``math.log``, as the scalar stream takes them, so that no key depends
+on numpy's SIMD dispatch.  The stopping rule is applied in one place,
+:func:`_visit`, and a collision estimate is one batched call for its two
+measures.
 
 Measures store read-only float64 arrays, as sparse vectors do, and compare
 by identity.  Searches run on copies scaled by a power of two, made once per
@@ -312,32 +314,20 @@ def astar_pminhash(
     return AStarResult(sample=best_sample, best_key=best, iterations=iters)
 
 
-def _key_tiles(ids: np.ndarray, lam_vals: np.ndarray, seeds: np.ndarray):
-    """Arrival keys of the stream, one row per element of ``ids``, one column per seed.
-
-    Yields ``(lo, keys)`` per block of about :data:`~jpminhash.hashing.TILE_CELLS`
-    (element, seed) cells, the seeds ``lo:lo + keys.shape[1]``: the block
-    stays in cache whatever large blocks the allocator still holds from
-    earlier work, and no key matrix outlives its block.
-    """
-    step = max(1, TILE_CELLS // ids.shape[0])
-    for lo in range(0, seeds.shape[0], step):
-        u = uniform_hash_vec(ids.astype(np.uint64)[:, None], seeds[None, lo : lo + step])
-        with np.errstate(over="ignore"):  # as in proposal_stream
-            keys = -np.log(u) / lam_vals[:, None]
-        yield lo, keys
-
-
 def _stream_head(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(order, e, tied)``: the ``k`` earliest arrivals of each column of ``keys``.
 
     They come in stream order: ascending key, ties by row, as a stable sort
-    gives it.  ``k`` is below the number of rows.  The ``k`` smallest keys
-    are picked with a partition and only they are sorted: rows first, then
-    stably by key.  ``tied`` marks columns whose ``k``-th key is shared with
-    a row outside the head, whose head may then hold the wrong one of the
-    tied rows.
+    gives it.  When ``k`` is at least the number of rows, that sort is taken
+    of the whole column and no column is tied.  Otherwise the ``k`` smallest
+    keys are picked with a partition and only they are sorted: rows first,
+    then stably by key.  ``tied`` marks columns whose ``k``-th key is shared
+    with a row outside the head, whose head may then hold the wrong one of
+    the tied rows.
     """
+    if k >= keys.shape[0]:
+        order = np.argsort(keys, axis=0, kind="stable")
+        return order, np.take_along_axis(keys, order, axis=0), np.zeros(keys.shape[1], dtype=bool)
     picked = np.sort(np.argpartition(keys, k - 1, axis=0)[:k], axis=0)
     head = np.take_along_axis(keys, picked, axis=0)
     by_key = np.argsort(head, axis=0, kind="stable")
@@ -375,13 +365,50 @@ def _visit(cands: np.ndarray, e: np.ndarray, rk: np.ndarray, b: float):
 
 
 def _head_len(b_hat: float, n: int) -> int:
-    """How many arrivals of an ``n``-long stream the batch search sorts up front.
+    """How many arrivals of an ``n``-long stream the first round of the finite batch sorts.
 
     A search visits about as many proposals as the bound of the normalized
     measures, ``b_hat = B * |lam| / |mu|``; the head holds 16 times that, at
     least 32, and the whole stream once that is no shorter.
     """
-    return max(32, 16 * math.ceil(b_hat)) if 16 * b_hat < n else n
+    return min(n, max(32, 16 * math.ceil(b_hat))) if 16 * b_hat < n else n
+
+
+def _search(head, searches, seeds, k: int, n: int | float) -> tuple[np.ndarray, np.ndarray]:
+    """``(samples, iterations)`` of each ``(ratio, bound)`` in ``searches``, a column per seed.
+
+    Row ``j`` is search ``j``, equal to :func:`astar_pminhash` in sample and
+    iteration count: positions in a finite stream, points of a continuous
+    one.  ``head(seeds, k)`` draws the ``k`` earliest arrivals of each
+    seed's ``n``-long stream (``n`` is ``inf`` when it is continuous) as
+    ``(cands, e, piece, tied)``: row ``i`` of a column is the seed's ``i``-th
+    arrival, with candidate ``cands``, key ``e`` and index ``piece`` into
+    every ratio; ``tied`` marks a seed whose head may not be its stream's.
+    The stream reads no target measure, so every search visits one head
+    through :func:`_visit`.  A seed that is tied, or not stopped by some
+    search, is drawn again with ``k`` doubled, up to ``n``: the whole stream
+    decides every search.  A round draws its heads in tiles of about
+    :data:`~jpminhash.hashing.TILE_CELLS` arrivals.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    iterations = np.empty((len(searches), seeds.shape[0]), dtype=np.intp)
+    samples = np.empty(iterations.shape, dtype=np.float64 if math.isinf(n) else np.intp)
+    todo = np.arange(seeds.shape[0])
+    while todo.shape[0]:
+        step = max(1, TILE_CELLS // k)
+        undecided = np.empty(todo.shape[0], dtype=bool)
+        for lo in range(0, todo.shape[0], step):
+            at = todo[lo : lo + step]
+            cands, e, piece, undecided[lo : lo + step] = head(seeds[at], k)
+            for j, (ratio, b) in enumerate(searches):
+                samples[j, at], first, stopped = _visit(cands, e, ratio[piece], b)
+                iterations[j, at] = first + 1
+                undecided[lo : lo + step] |= ~stopped
+        if k >= n:
+            break
+        todo = todo[undecided]
+        k = min(2 * k, n)
+    return samples, iterations
 
 
 def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -389,52 +416,37 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
 
     Returns (samples, iterations); entry ``j * len(seeds) + s`` is measure
     ``j`` under seed ``s``, equal to :func:`astar_pminhash` in sample and
-    iteration count.  The stream reads no target measure, so every measure
-    visits one head of it, as long as :func:`_head_len` gives for the
+    iteration count.  The stream's head is a partition of its hashed keys
+    (:func:`_stream_head`), first as long as :func:`_head_len` gives for the
     largest normalized bound: a search stops after about that bound's
     number of proposals, and the head spares sorting the rest of the
-    stream.  A seed whose search does not stop within the head for some
-    measure, or whose head may not be its stream's (``tied`` in
-    :func:`_stream_head`), is searched again for every measure over its
-    fully sorted stream, as is every seed when the head would be the whole
-    stream.
+    stream.  Keys are hashed in tiles of about
+    :data:`~jpminhash.hashing.TILE_CELLS` (element, seed) cells.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
     lam = lam._unit[0]
+    mus = [mu._unit[0] for mu in mus]
     ids = np.nonzero(lam.masses)[0]
     lam_vals = lam.masses[ids]
-    searches = []  # (ratio, bound) per measure
-    k = 0
-    for mu in mus:
-        mu = mu._unit[0]
-        b = global_bound(mu, lam)
-        mu_vals = mu.masses[ids]
-        with np.errstate(divide="ignore", over="ignore"):  # past the float range: inf, massless
-            ratio = np.where(mu_vals > 0.0, lam_vals / np.where(mu_vals > 0.0, mu_vals, 1.0), np.inf)
-        searches.append((ratio, b))
-        k = max(k, _head_len(b * lam.total / mu.total, ids.shape[0]))
-    pos = np.empty((len(searches), seeds.shape[0]), dtype=np.intp)
-    iterations = np.empty_like(pos)
-    redo = np.arange(seeds.shape[0])
-    if k < ids.shape[0]:
-        order = np.empty((k, seeds.shape[0]), dtype=np.intp)
-        e = np.empty((k, seeds.shape[0]))
-        undecided = np.empty(seeds.shape[0], dtype=bool)  # tied; then also not stopped
-        for lo, keys in _key_tiles(ids, lam_vals, seeds):
-            hi = lo + keys.shape[1]
-            order[:, lo:hi], e[:, lo:hi], undecided[lo:hi] = _stream_head(keys, k)
-        for j, (ratio, b) in enumerate(searches):
-            pos[j], first, stopped = _visit(order, e, ratio[order], b)
-            iterations[j] = first + 1
-            undecided |= ~stopped
-        redo = np.nonzero(undecided)[0]
-    for lo, keys in _key_tiles(ids, lam_vals, seeds[redo]):
-        at = redo[lo : lo + keys.shape[1]]
-        order = np.argsort(keys, axis=0, kind="stable")
-        e = np.take_along_axis(keys, order, axis=0)
-        for j, (ratio, b) in enumerate(searches):
-            pos[j, at], first, _ = _visit(order, e, ratio[order], b)
-            iterations[j, at] = first + 1
+    n = ids.shape[0]
+    with np.errstate(divide="ignore", over="ignore"):  # inf where mu vanishes or past the float range
+        searches = [(lam_vals / mu.masses[ids], global_bound(mu, lam)) for mu in mus]
+    k = max(_head_len(b * lam.total / mu.total, n) for mu, (_, b) in zip(mus, searches))
+    column = ids.astype(np.uint64)[:, None]
+    step = max(1, TILE_CELLS // n)
+
+    def head(seeds, k):
+        parts = []
+        for lo in range(0, seeds.shape[0], step):
+            u = uniform_hash_vec(column, seeds[None, lo : lo + step])
+            with np.errstate(over="ignore"):  # as in proposal_stream
+                parts.append(_stream_head(-np.log(u) / lam_vals[:, None], k))
+        if len(parts) == 1:  # not copied: copying a whole sorted stream slows its search
+            (order, e, tied), = parts
+        else:
+            order, e, tied = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        return order, e, order, tied
+
+    pos, iterations = _search(head, searches, seeds, k, n)
     return ids[pos].ravel(), iterations.ravel()
 
 
@@ -443,16 +455,13 @@ def _astar_many_piecewise(mus, lam: PiecewiseDensity, seeds) -> tuple[np.ndarray
 
     Returns (samples, iterations) laid out as :func:`_astar_many_discrete`
     lays them out, equal to :func:`astar_pminhash` in sample and iteration
-    count.  The stream reads no target density, so each round draws a head
-    of ``k`` arrivals once for every undecided seed, looks each point's
-    piece up once in the common refinement of all the breakpoints, and lets
-    every density visit the head.  ``k`` starts at 4 (a search visits about
-    2.5 proposals on typical densities) and doubles for the seeds where some
-    density has not stopped.  Arrival keys add in the scalar order down the
-    head, and their logs come from ``math.log``, so no key depends on numpy's
-    SIMD dispatch.  A round hashes its seeds in tiles of about
-    :data:`~jpminhash.hashing.TILE_CELLS` cells.  An infinite bound raises,
-    as in :func:`astar_pminhash`.
+    count.  The stream's head is drawn incrementally, so it has no ties, and
+    each point's piece is looked up once in the common refinement of all the
+    breakpoints.  The first head holds 4 arrivals (a search visits about 2.5
+    proposals on typical densities).  Arrival keys add in the scalar order
+    down the head, and their logs come from ``math.log``, so no key depends
+    on numpy's SIMD dispatch.  An infinite bound raises, as in
+    :func:`astar_pminhash`.
     """
     lam = lam._unit[0]
     mus = [mu._unit[0] for mu in mus]
@@ -465,28 +474,16 @@ def _astar_many_piecewise(mus, lam: PiecewiseDensity, seeds) -> tuple[np.ndarray
         searches = [(lam_vals / piece_values_on(mu, bp), global_bound(mu, lam)) for mu in mus]
     if any(math.isinf(b) for _, b in searches):
         raise ValueError("unbounded ratio")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    samples = np.empty((len(searches), seeds.shape[0]))
-    iterations = np.empty(samples.shape, dtype=np.intp)
-    todo = np.arange(seeds.shape[0])
-    k = 4
-    while todo.shape[0]:
+
+    def head(seeds, k):
         ks = np.arange(k, dtype=np.uint64)[:, None]
-        step = max(1, TILE_CELLS // k)
-        undecided = np.zeros(todo.shape[0], dtype=bool)
-        for lo in range(0, todo.shape[0], step):
-            at = todo[lo : lo + step]
-            u = uniform_hash_vec(ks, seeds[at])
-            steps = -np.fromiter(map(math.log, u.ravel().tolist()), np.float64, u.size) / total
-            e = np.cumsum(steps.reshape(u.shape), axis=0)
-            points = _positions(table, uniform_hash_vec(ks ^ np.uint64(CONTINUOUS_SALT), seeds[at]))
-            piece = np.searchsorted(bp, points, side="right") - 1
-            for j, (ratio, b) in enumerate(searches):
-                samples[j, at], first, stopped = _visit(points, e, ratio[piece], b)
-                iterations[j, at] = first + 1
-                undecided[lo : lo + step] |= ~stopped
-        todo = todo[undecided]
-        k *= 2
+        u = uniform_hash_vec(ks, seeds)
+        steps = -np.fromiter(map(math.log, u.ravel().tolist()), np.float64, u.size) / total
+        points = _positions(table, uniform_hash_vec(ks ^ np.uint64(CONTINUOUS_SALT), seeds))
+        e = np.cumsum(steps.reshape(u.shape), axis=0)
+        return points, e, np.searchsorted(bp, points, side="right") - 1, False
+
+    samples, iterations = _search(head, searches, seeds, 4, math.inf)
     return samples.ravel(), iterations.ravel()
 
 

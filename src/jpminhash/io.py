@@ -477,9 +477,9 @@ def _check_weights(weights, path: str | Path, lineno: int) -> None:
             token.encode("utf-8")  # what a token's element id is hashed from
         except UnicodeEncodeError:
             raise ValueError(f"{path}:{lineno}: weight key {token!r} is not valid UTF-8") from None
-        try:
-            ok = 0.0 <= float(w) < math.inf
-        except (TypeError, ValueError, OverflowError):
+        try:  # a JSON number: not a bool, which is an int, nor a numeric string
+            ok = type(w) in (int, float) and 0.0 <= float(w) < math.inf
+        except OverflowError:  # an integer past the float range
             ok = False
         if not ok:
             raise ValueError(

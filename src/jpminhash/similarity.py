@@ -195,12 +195,13 @@ def _jaccard_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndar
 
 def _jsd_rows(ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Jensen-Shannon divergence in bits of each pair of aligned rows."""
-    m = 0.5 * (ux + uy)
+    both = ux + uy
     acc = np.zeros(bounds.shape[0] - 1)
     for v in (ux, uy):
         pos = v > 0.0
         vp = v[pos]
-        acc = acc + 0.5 * _row_sums(vp * np.log2(vp / m[pos]), _kept_bounds(pos, bounds))
+        # v / m as 2v / (ux + uy): the mean m = (ux + uy) / 2 underflows to 0 at 5e-324
+        acc = acc + 0.5 * _row_sums(vp * np.log2((2.0 * vp) / both[pos]), _kept_bounds(pos, bounds))
     # rounding can leave ~1e-16 excursions outside [0, 1]
     acc = np.where(acc > 0.0, acc, 0.0)
     return np.where(acc < 1.0, acc, 1.0)

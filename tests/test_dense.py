@@ -3,9 +3,12 @@
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpminhash import dense
 from jpminhash.dense import (
@@ -14,7 +17,6 @@ from jpminhash.dense import (
     PiecewiseDensity,
     _astar_many_discrete,
     _astar_many_piecewise,
-    _key_tiles,
     _stream_head,
     _visit,
     astar_collision,
@@ -275,6 +277,11 @@ def test_stream_head_flags_a_tie_at_its_last_key():
     assert decided.sum() == 2
     for got, want in zip(head, full):
         assert np.array_equal(got[decided], want[decided])
+    # a head as long as the stream, or longer, is its stable full sort, never tied
+    for k in (6, 7):
+        order, e, tied = _stream_head(keys, k)
+        assert np.array_equal(order, whole) and not tied.any()
+        assert np.array_equal(e, np.take_along_axis(keys, whole, axis=0))
 
 
 def _searches(mus, lam, seeds):
@@ -293,6 +300,17 @@ def _searches(mus, lam, seeds):
         assert got_samples.tolist() == [r.sample for r in scalar]
         assert got_iters.tolist() == [r.iterations for r in scalar]
     return samples, iters
+
+
+def _stream_keys(lam: FiniteMeasure, seeds) -> np.ndarray:
+    """Arrival keys of the stream of ``lam``, all of whose masses are positive, one column per seed.
+
+    They are hashed through ``dense.uniform_hash_vec``, as the batch hashes
+    them, and may overflow to inf, as there.
+    """
+    u = dense.uniform_hash_vec(np.arange(len(lam), dtype=np.uint64)[:, None], seeds[None])
+    with np.errstate(over="ignore"):
+        return -np.log(u) / lam._unit[0].masses[:, None]
 
 
 def _force_head(monkeypatch, k):
@@ -315,7 +333,7 @@ def test_stream_prefix_fallbacks_equal_the_full_sort(monkeypatch):
     lam = FiniteMeasure((1.0, 1.0) + (1e-320,) * 6)
     seeds = derive_seed_vec(6, np.arange(50))
     _force_head(monkeypatch, 3)
-    (_, keys), = _key_tiles(np.arange(8), lam._unit[0].masses, seeds)  # overflow, and warn of nothing
+    keys = _stream_keys(lam, seeds)
     assert _stream_head(keys, 3)[2].all()
     _searches((mu, FiniteMeasure(mu.masses[::-1])), lam, seeds)
     monkeypatch.undo()
@@ -344,9 +362,57 @@ def test_pair_search_reruns_a_head_tied_at_its_last_key(monkeypatch):
     lam = FiniteMeasure(np.ones(12))
     seeds = derive_seed_vec(4, np.arange(200))
     _, iters = _searches((mu, nu), lam, seeds)
-    (_, keys), = _key_tiles(np.arange(12), lam._unit[0].masses, seeds)
+    keys = _stream_keys(lam, seeds)
     tied = _stream_head(keys, 3)[2]
     assert (tied & (iters <= 3).all(axis=0)).sum() >= 10
+
+
+_MASS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def _finite_pairs(draw):
+    """Two measures with zeros, a proposal that dominates both, and a first head length."""
+    n = draw(st.integers(1, 80))
+    mu, nu = (draw(st.lists(_MASS, min_size=n, max_size=n).filter(any)) for _ in range(2))
+    lam = [m + v + draw(_MASS) for m, v in zip(mu, nu)]
+    return (FiniteMeasure(mu), FiniteMeasure(nu)), FiniteMeasure(lam), draw(st.integers(1, n))
+
+
+@st.composite
+def _piecewise_pairs(draw):
+    """Two densities with zero pieces on their own eighths, and a proposal that dominates both.
+
+    Every density holds at least 1/16 of mass and the proposal at most 6,
+    so no search visits more than about a hundred proposals.
+    """
+    value = st.one_of(st.just(0.0), st.floats(0.5, 2.0))
+
+    def density():
+        cuts = draw(st.lists(st.integers(1, 7), max_size=4, unique=True))
+        bp = [0.0, *sorted(c / 8 for c in cuts), 1.0]
+        vals = draw(st.lists(value, min_size=len(bp) - 1, max_size=len(bp) - 1).filter(any))
+        return PiecewiseDensity(bp, vals)
+
+    mu, nu = density(), density()
+    bp = refine_breakpoints(mu, nu)
+    extra = [draw(value) for _ in range(len(bp) - 1)]
+    lam = PiecewiseDensity(bp, dense.piece_values_on(mu, bp) + dense.piece_values_on(nu, bp) + extra)
+    return (mu, nu), lam, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_finite_pairs(), _piecewise_pairs()), st.integers(0, 2**32))
+def test_batch_loop_equals_the_scalar_search(case, base):
+    # a finite first head of any length, tied or not, doubles up to the
+    # whole stream; a piecewise one doubles until every density stops
+    mus, lam, k = case
+    seeds = derive_seed_vec(base, np.arange(30))
+    if k is None:
+        _searches(mus, lam, seeds)
+    else:
+        with mock.patch.object(dense, "_head_len", lambda b_hat, n: k):
+            _searches(mus, lam, seeds)
 
 
 def test_pair_search_on_benchmark_measures(monkeypatch):

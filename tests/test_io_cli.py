@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,30 @@ def test_cli_surrogate_weight_key_names_path_and_line(tmp_path, capsys, command)
     assert capsys.readouterr().err == f"error: {corpus}:2: weight key '\\ud800' is not valid UTF-8\n"
 
 
+def test_cli_sim_pair_apart_by_a_subnormal_mass_has_no_divergence(tmp_path):
+    # the mean of 5e-324 and 0 underflows to 0; jsd must not read that as maximal
+    corpus, out = tmp_path / "pairs.jsonl", tmp_path / "sim.csv"
+    _write_corpus(corpus, [{"id": "x", "weights": {"a": 1, "b": 1, "c": 1e-323}},
+                           {"id": "y", "weights": {"a": 1, "b": 1}}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sim", "--pairs", str(corpus), "--out", str(out)]) == 0
+    (score,) = jio.read_pair_csv(out).scores
+    assert score.jsd == 0.0
+
+
+@pytest.mark.parametrize("weight", ["true", '"1.5"', '"  2 "'])
+@pytest.mark.parametrize("command", [["hash", "--k", "2", "--corpus"], ["sim", "--pairs"]], ids=["hash", "sim"])
+def test_cli_corpus_weights_must_be_json_numbers(tmp_path, capsys, command, weight):
+    corpus = tmp_path / "pairs.jsonl"
+    corpus.write_text(_OK + '{"id": "b", "weights": {"u": 1, "v": %s}}\n' % weight)
+    assert run([*command, str(corpus), "--out", str(tmp_path / "out")]) == 1
+    got = repr(json.loads(weight))
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:2: weight of 'v' must be a finite non-negative number, got {got}\n"
+    )
+
+
 def test_cli_sim_identical_vectors(tmp_path):
     corpus = tmp_path / "pairs.jsonl"
     _write_corpus(corpus, [{"id": "a", "text": "x y"}, {"id": "b", "text": "x y"}])
@@ -520,6 +545,8 @@ MALFORMED = [
     ("weight-nan", "corpus", '{"id": "a", "weights": {"u": NaN}}', 1),
     ("weight-list", "corpus", '{"id": "a", "weights": {"u": [1]}}', 1),
     ("weight-huge-int", "corpus", '{"id": "a", "weights": {"u": 1%s}}' % ("0" * 400), 1),
+    ("weight-bool", "corpus", '{"id": "a", "weights": {"u": true}}', 1),
+    ("weight-string", "corpus", _OK + '{"id": "b", "weights": {"u": "1.5"}}', 2),
     ("docs-number", "index", _HEADER + '{"band": 0, "key": "1", "docs": 5}', 2),
     ("docs-mixed", "index", _HEADER + '{"band": 0, "key": "1", "docs": [1, "b"]}', 2),
     ("band-text", "index", _HEADER + '{"band": "x", "key": "1", "docs": ["a"]}', 2),

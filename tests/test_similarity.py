@@ -17,7 +17,10 @@ from jpminhash.similarity import (
     _aligned_rows,
     _d_curve,
     _jp_terms,
+    _jsd_rows,
+    _kept_bounds,
     _report_rows,
+    _row_sums,
     adversarial_z,
     bound_curves,
     construct_lower_pair,
@@ -235,6 +238,33 @@ def test_jsd_range_and_symmetry(x, y):
     v = jsd(x, y)
     assert 0.0 <= v <= 1.0
     assert v == pytest.approx(jsd(y, x), abs=1e-12)
+
+
+def _jsd_rows_of_the_mean(ux, uy, bounds):
+    """Row JSD with the mean ``m = 0.5 * (ux + uy)`` formed first, as the textbook formula reads."""
+    m = 0.5 * (ux + uy)
+    acc = np.zeros(bounds.shape[0] - 1)
+    for v in (ux, uy):
+        pos = v > 0.0
+        acc = acc + 0.5 * _row_sums(v[pos] * np.log2(v[pos] / m[pos]), _kept_bounds(pos, bounds))
+    acc = np.where(acc > 0.0, acc, 0.0)
+    return np.where(acc < 1.0, acc, 1.0)
+
+
+@st.composite
+def _wide_distributions(draw):
+    """A distribution on ids 0-20 whose masses span 300 orders of magnitude, all normal."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True))
+    masses = draw(st.lists(st.floats(1e-300, 1.0), min_size=len(ids), max_size=len(ids)))
+    return normalize(SparseVector.from_pairs(zip(ids, masses)))
+
+
+@given(st.lists(st.tuples(_wide_distributions(), _wide_distributions()), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_jsd_rows_equal_the_mean_formula_on_normal_masses(pairs):
+    # where 0.5 * (ux + uy) is exact, 2v / (ux + uy) is v / m correctly rounded
+    ux, uy, bounds = _aligned_rows(*zip(*pairs))
+    assert _jsd_rows(ux, uy, bounds).tobytes() == _jsd_rows_of_the_mean(ux, uy, bounds).tobytes()
 
 
 def test_bound_curves_endpoints():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from jpminhash import cli, dense, minhash
-from jpminhash.hashing import derive_seed_vec
+from jpminhash.hashing import derive_seed_vec, uniform_hash_vec
 from jpminhash.harness import corpus_from_records, synth_pairs
 from jpminhash.verify import REF_X, REF_Y
 
@@ -103,3 +103,28 @@ def test_tracer_counts_one_shared_stream_for_a_finite_collision(monkeypatch):
     assert t.counts["dense.samples"] == 2 * n
     assert t.counts["dense.finite_iterations"] == iterations
     assert t.counts["hashing.uniform_hash_vec.elements"] == support * n
+
+
+def test_tracer_counts_one_call_and_every_hash_of_a_piecewise_collision(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import tracer
+
+    mu, nu, lam = inputs.make_piecewise_densities(1501, 64)
+    hashed = 0
+
+    def counted(ids, seeds):
+        nonlocal hashed
+        u = uniform_hash_vec(ids, seeds)
+        hashed += u.size
+        return u
+
+    with monkeypatch.context() as m:
+        m.setattr(dense, "uniform_hash_vec", counted)
+        estimate = dense.astar_collision(mu, nu, lam, 12, 500)
+    with tracer.Tracer() as t:
+        assert dense.astar_collision(mu, nu, lam, 12, 500) == estimate
+    # both densities in one batch call, with one bound each, over one stream
+    assert t.counts["dense.astar_collision.calls"] == 1
+    assert t.counts["dense.global_bound.calls"] == 2
+    assert t.counts["hashing.uniform_hash_vec.elements"] == hashed > 2 * 500 * 4
