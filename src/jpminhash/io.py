@@ -202,6 +202,20 @@ def _require(obj: dict, key: str, path: str | Path, lineno: int):
     return obj[key]
 
 
+def _uint64_text(value, what: str, path: str | Path, lineno: int) -> int:
+    """``value`` as an int if it is an ASCII decimal string in [0, 2**64 - 1], else raise.
+
+    The error names ``what``, the path and the line.  A string of more than
+    20 significant digits is never converted, so it cannot hit ``int``'s
+    digit limit.
+    """
+    if type(value) is str and value.isascii() and value.isdigit() and len(value.lstrip("0")) <= 20:
+        n = int(value)
+        if n <= MAX_ID:
+            return n
+    raise ValueError(f"{path}:{lineno}: {what} must be a decimal string below 2**64, got {value!r}")
+
+
 def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
     """One line per signature, what ``json.dumps`` writes for its record, formatted directly.
 
@@ -219,18 +233,26 @@ def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
 
 
 def read_signatures_jsonl(path: str | Path) -> list[Signature]:
+    """The signatures of a file as :func:`write_signatures_jsonl` writes it.
+
+    ``id`` must be a string, ``k`` a JSON integer, ``samples`` a list of
+    ``k`` entries, and ``seed`` and each sample decimal strings, as index
+    keys are; each error names the path and the line.
+    """
     sigs = []
     for lineno, obj in _json_lines(path):
+        doc_id, samples, seed, k = (_require(obj, f, path, lineno) for f in ("id", "samples", "seed", "k"))
+        if type(doc_id) is not str:
+            raise ValueError(f"{path}:{lineno}: 'id' must be a string")
+        if type(k) is not int:
+            raise ValueError(f"{path}:{lineno}: 'k' must be a JSON integer, got {k!r}")
+        if type(samples) is not list:
+            raise ValueError(f"{path}:{lineno}: 'samples' must be a list")
+        seed = _uint64_text(seed, "'seed'", path, lineno)
+        samples = tuple(_uint64_text(v, "a sample", path, lineno) for v in samples)
         try:
-            sigs.append(
-                Signature(
-                    doc_id=_require(obj, "id", path, lineno),
-                    samples=tuple(int(v) for v in _require(obj, "samples", path, lineno)),
-                    base_seed=int(_require(obj, "seed", path, lineno)),
-                    k=int(_require(obj, "k", path, lineno)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            sigs.append(Signature(doc_id, samples, seed, k))
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return sigs
 
@@ -426,9 +448,7 @@ def _read_index_json(path: str | Path, text: str | None = None) -> InvertedIndex
             raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
         if type(band) is not int or not 0 <= band < o:
             raise ValueError(f"{path}:{lineno}: 'band' must be an integer in [0, {o}), got {band!r}")
-        value = int(key) if type(key) is str and key.isascii() and key.isdigit() else -1
-        if not 0 <= value <= MAX_ID:
-            raise ValueError(f"{path}:{lineno}: 'key' must be a decimal string below 2**64, got {key!r}")
+        value = _uint64_text(key, "'key'", path, lineno)
         if not isinstance(docs, list):
             raise ValueError(f"{path}:{lineno}: 'docs' must be a list")
         try:

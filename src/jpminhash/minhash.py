@@ -7,18 +7,14 @@ hashed with the same seed collide with probability equal to their ``jp``
 similarity, and the marginal law of the sample is the distribution itself.
 
 All vectorized sparse sampling runs through one kernel, :func:`_race`, over
-one packed form, :class:`_PackedVectors`: the rows' ids and scaled masses
-end to end, their bounds, and each id's index among the batch's distinct
-ids when ids repeat.  A batch is packed once and can be raced any number of
-times; the race runs in tiles of about ``TILE_CELLS`` (element, seed) cells,
-so its temporaries stay in cache whatever the batch size or seed count.
-:func:`pminhash_many` races one row and :func:`batch_signatures` a whole
-batch; the scalar :func:`pminhash` is the loop form the tests compare
-against.
-
-Also provided: k-hash signatures with derived per-position seeds, a
-tree-structured sampler that trades collision mass between elements, and a
-collision-frequency estimator.
+one packed form, :class:`_PackedVectors`: the rows' ids and masses end to
+end, their bounds, and each id's index among the batch's distinct ids when
+ids repeat.  A batch is packed once and raced in tiles of ``TILE_CELLS``
+(element, seed) cells, which stay in cache.  :func:`pminhash_many` races
+one row, :func:`batch_signatures` a batch, and the tree samplers, which
+trade collision mass between elements, each step's children; the scalar
+:func:`pminhash` is the form the tests compare against.  Every sampler keys
+masses as :func:`_scaled_masses` gives them.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .hashing import TILE_CELLS, derive_seed, derive_seed_vec, uniform_hash, uniform_hash_vec
-from .sparse import MAX_ID, SparseVector, _scale_rows
+from .sparse import MAX_ID, SparseVector, _id_array, _scale_rows
 
 __all__ = [
     "Signature",
@@ -45,6 +41,18 @@ __all__ = [
 ]
 
 
+def _scaled_masses(masses: np.ndarray, bounds) -> np.ndarray:
+    """Masses scaled by :func:`_scale_rows`, each that flushed to 0 raised to 5e-324, in a new array.
+
+    A row's largest scaled mass lies in [0.5, 1), so its key is at most
+    73.5; a raised mass keys to inf, or to at least 2**1021, and loses as
+    its true key does, but for ``u == 1``, where both keys are 0.  Samples
+    thus equal those of the unscaled row, and no key divides by zero.
+    """
+    scaled = _scale_rows(masses, bounds)
+    return np.maximum(scaled, 5e-324, out=scaled)
+
+
 def pminhash(x: SparseVector, seed: int) -> int:
     """Sample one element id: argmin of per-element exponential keys.
 
@@ -53,14 +61,10 @@ def pminhash(x: SparseVector, seed: int) -> int:
     """
     if not len(x):
         raise ValueError("cannot hash an empty vector")
-    best_key = math.inf
-    best_id = -1
-    for eid, mass in zip(x.ids.tolist(), _scale_rows(x.masses, [0, len(x)]).tolist()):
-        key = -math.log(uniform_hash(eid, seed)) / mass
-        if key < best_key:  # strict: first (= smallest) id wins ties
-            best_key = key
-            best_id = eid
-    return best_id
+    ids = x.ids.tolist()
+    masses = _scaled_masses(x.masses, [0, len(x)]).tolist()
+    keys = [-math.log(uniform_hash(eid, seed)) / mass for eid, mass in zip(ids, masses)]
+    return ids[keys.index(min(keys))]  # the first, that is the smallest, id wins a tie
 
 
 # Cells of (distinct id, seed) log(u) that _race keeps at a time when ids repeat.
@@ -169,7 +173,7 @@ class _PackedVectors:
 
     A batch is packed once and can be raced under any number of seeds.  Row
     r is entries ``bounds[r]:bounds[r + 1]`` of ``ids`` and ``neg_masses``,
-    the masses scaled by :func:`_scale_rows` and negated.  When an id occurs
+    the masses of :func:`_scaled_masses` negated.  When an id occurs
     more than once in the batch, ``distinct`` holds the sorted distinct ids
     and ``inv`` each entry's index into them; otherwise ``inv`` is None.
 
@@ -184,7 +188,8 @@ class _PackedVectors:
         self.bounds = np.zeros(self.row_len.shape[0] + 1, dtype=np.intp)
         np.cumsum(self.row_len, out=self.bounds[1:])
         self.ids = np.concatenate([v.ids for v in vecs])
-        self.neg_masses = -_scale_rows(np.concatenate([v.masses for v in vecs]), self.bounds)
+        masses = _scaled_masses(np.concatenate([v.masses for v in vecs]), self.bounds)
+        self.neg_masses = np.negative(masses, out=masses)
         self.distinct = self.inv = None
         if len(vecs) > 1:  # a single vector's ids are strictly increasing
             ordered = np.sort(self.ids)  # np.unique's hash path is slower on these ids
@@ -219,11 +224,11 @@ def collision_estimate(x: SparseVector, y: SparseVector, base_seed: int, n: int)
 class WeightTree:
     """Rooted tree whose leaves carry element ids.
 
-    Selection walks from the root: among the children of the current node,
-    pick the argmin of ``-log(u_child) / weight_child`` where a node's weight
-    is the total mass of the leaves below it and its uniform comes from a
-    stable hash of the root-to-node child-index path.  Flat trees reproduce
-    the plain sampler's statistics; nesting redistributes collision mass.
+    Selection walks from the root: each step is a :func:`pminhash` race
+    among the current node's children, over their node ids, stable hashes of
+    the root-to-node child-index paths, weighted by the total mass of the
+    leaves below each.  Flat trees reproduce the plain sampler's statistics;
+    nesting redistributes collision mass.
     """
 
     children: tuple[tuple[int, ...], ...]
@@ -248,13 +253,12 @@ class WeightTree:
                 kids = tuple(node)
                 if not kids:
                     raise ValueError("internal node needs at least one child")
-                children[idx] = tuple(
-                    build(ch, derive_seed(path_id, j + 1)) for j, ch in enumerate(kids)
-                )
+                children[idx] = tuple(build(ch, derive_seed(path_id, j + 1)) for j, ch in enumerate(kids))
             return idx
 
         build(nested, 0)
         elems = [e for e in leaves if e is not None]
+        _id_array(elems)  # raises for an id outside 64 bits
         if len(set(elems)) != len(elems):
             raise ValueError("element appears in more than one leaf")
         return cls(tuple(children), tuple(leaves), tuple(node_ids))
@@ -265,12 +269,19 @@ class WeightTree:
 
 
 def _node_weights(tree: WeightTree, x: SparseVector) -> np.ndarray:
+    """Each node's total of x's :func:`_scaled_masses` on the leaves below it.
+
+    The largest leaf is in [0.5, 1), so no sum overflows, no positive leaf is
+    0, and every power-of-two scaling of x gives the same weights.
+    """
+    if not len(x):
+        raise ValueError("cannot hash an empty vector")
     leaf_pos = {e: i for i, e in enumerate(tree.leaf_element) if e is not None}
     pos = [leaf_pos.get(eid, -1) for eid in x.ids.tolist()]
     if -1 in pos:
         raise ValueError(f"tree leaves do not cover support element {x.ids[pos.index(-1)]}")
     w = np.zeros(tree.n_nodes)
-    w[pos] = x.masses
+    w[pos] = _scaled_masses(x.masses, [0, len(x)])
     # children always follow their parent in the preorder layout
     for idx in range(tree.n_nodes - 1, -1, -1):
         kids = tree.children[idx]
@@ -279,50 +290,38 @@ def _node_weights(tree: WeightTree, x: SparseVector) -> np.ndarray:
     return w
 
 
+def _children_race(tree: WeightTree, w: np.ndarray, idx: int) -> tuple[np.ndarray, SparseVector]:
+    """Node idx's positive-weight children in node-id order, and the race among them.
+
+    The race is a vector over the children's node ids, which ``fin64`` keeps
+    distinct, weighted by ``w``.
+    """
+    kids = np.array(tree.children[idx], dtype=np.intp)
+    kids = kids[w[kids] > 0.0]
+    ids = np.array(tree.node_ids, dtype=np.uint64)[kids]
+    order = np.argsort(ids)
+    return kids[order], SparseVector.from_arrays(ids[order], w[kids[order]])
+
+
 def tree_pminhash(tree: WeightTree, x: SparseVector, seed: int) -> int:
     """Sample one element id through the tree; marginal law is x itself."""
-    if not len(x):
-        raise ValueError("cannot hash an empty vector")
     w = _node_weights(tree, x)
     idx = 0
     while tree.children[idx]:
-        best_key = math.inf
-        nxt = -1
-        for c in tree.children[idx]:
-            if w[c] <= 0.0:
-                continue
-            key = -math.log(uniform_hash(tree.node_ids[c], seed)) / w[c]
-            if key < best_key:
-                best_key = key
-                nxt = c
-        idx = nxt
-    elem = tree.leaf_element[idx]
-    assert elem is not None
-    return elem
+        kids, race = _children_race(tree, w, idx)
+        idx = int(kids[np.searchsorted(race.ids, pminhash(race, seed))])
+    return tree.leaf_element[idx]
 
 
 def tree_pminhash_many(tree: WeightTree, x: SparseVector, seeds) -> np.ndarray:
     """Vectorized :func:`tree_pminhash` over an array of seeds."""
-    if not len(x):
-        raise ValueError("cannot hash an empty vector")
     w = _node_weights(tree, x)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    node_ids = np.array(tree.node_ids, dtype=np.uint64)
-    is_leaf = np.array([e is not None for e in tree.leaf_element])
-    leaf_elems = np.zeros(tree.n_nodes, dtype=np.uint64)
-    for i, e in enumerate(tree.leaf_element):
-        if e is not None:
-            leaf_elems[i] = e
-    cur = np.zeros(seeds.shape[0], dtype=np.int64)
-    while True:
-        active = ~is_leaf[cur]
-        if not active.any():
-            break
-        for u_node in np.unique(cur[active]):
-            mask = cur == u_node
-            kids = np.array(tree.children[u_node], dtype=np.int64)
-            kids = kids[w[kids] > 0.0]
-            u = uniform_hash_vec(node_ids[kids][:, None], seeds[mask][None, :])
-            keys = -np.log(u) / w[kids][:, None]
-            cur[mask] = kids[np.argmin(keys, axis=0)]
-    return leaf_elems[cur]
+    cur = np.zeros(seeds.shape[0], dtype=np.intp)
+    # children follow their parent, so one pass moves every seed down to its leaf
+    for idx, kids in enumerate(tree.children):
+        at = np.flatnonzero(cur == idx) if kids else ()
+        if len(at):
+            kids, race = _children_race(tree, w, idx)
+            cur[at] = kids[np.searchsorted(race.ids, pminhash_many(race, seeds[at]))]
+    return np.array([e or 0 for e in tree.leaf_element], dtype=np.uint64)[cur]

@@ -143,8 +143,23 @@ def test_signatures_jsonl_roundtrip(tmp_path):
     "reader,text",
     [
         (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": 5}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 3, "samples": "123"}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "-5", "k": 1, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "18446744073709551616", "k": 1, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": ["-1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": ["99999999999999999999999"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": 7, "seed": "0", "k": 1, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": true, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1.9, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "1_000", "k": 1, "samples": ["1"]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": [" 12 "]}'),
+        (jio.read_signatures_jsonl, '{"v": 1, "id": "a", "seed": "0", "k": 1, "samples": [3.7]}'),
     ],
-    ids=["samples-number"],
+    ids=[
+        "samples-number", "samples-string", "seed-negative", "seed-above-64-bits", "sample-negative",
+        "sample-above-64-bits", "id-number", "k-bool", "k-fraction", "seed-underscore", "sample-spaces",
+        "sample-fraction",
+    ],
 )
 def test_jsonl_readers_reject_scalar_lists_with_path_and_line(tmp_path, reader, text):
     path = tmp_path / "bad.jsonl"
@@ -562,6 +577,7 @@ MALFORMED = [
     ("band-fraction", "index", _HEADER + '{"band": 1.7, "key": "1", "docs": ["a"]}', 2),
     ("key-above-64-bits", "index", _HEADER + '{"band": 0, "key": "%d", "docs": ["a"]}' % 2**64, 2),
     ("key-negative", "index", _HEADER + '{"band": 0, "key": "-1", "docs": ["a"]}', 2),
+    ("key-5000-digits", "index", _HEADER + '{"band": 0, "key": "%s", "docs": ["a"]}' % ("9" * 5000), 2),
     ("bucket-repeated", "index", _HEADER + '{"band": 0, "key": "1", "docs": ["a"]}\n' * 2, 3),
     *_CANONICAL_INDEX_ROWS,
     ("pair-jp-above-one", "pair", _PAIR_HEADER + "a,b,1.5,0.4,0.1,0.2,0.5,1", 3),

@@ -1,5 +1,7 @@
 """Sampler determinism, collision and marginal laws, signatures, trees."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,108 @@ def test_tree_with_uncovered_extra_leaves():
     tree = WeightTree.from_nested((0, 1, 2, 77))
     samples = tree_pminhash_many(tree, REF_X, np.arange(2000, dtype=np.uint64))
     assert not np.any(samples == 77)
+
+
+@pytest.mark.parametrize("leaf", [-1, 2**64])
+def test_tree_leaf_outside_64_bits_rejected(leaf):
+    with pytest.raises(ValueError, match=f"element id {leaf} outside unsigned 64-bit range"):
+        WeightTree.from_nested((1, (2, leaf)))
+
+
+# --- one rule for the key of a scaled mass -----------------------------------
+
+def test_masses_spanning_more_than_the_float_range_sample_the_large_mass():
+    # scaled into [0.5, 1), 1e-300 flushes to 0: it must lose the race, with
+    # no division by zero in the scalar sampler and no warning in the batch
+    x = SparseVector.from_pairs([(1, 1e300), (2, 1e-300)])
+    seeds = [derive_seed(3, j) for j in range(64)]
+    assert [pminhash(x, s) for s in seeds] == [1] * 64
+    assert pminhash_many(x, seeds).tolist() == [1] * 64
+    assert batch_signatures([x, REF_X], 3, 64)[0].tolist() == [1] * 64
+    assert collision_estimate(x, x, 3, 64) == 1.0
+
+
+def test_tree_of_subnormal_masses_samples_as_at_scale_one():
+    tree = WeightTree.from_nested(((1, 2), (3, 4)))
+    want = [1, 4, 3, 3, 2, 3, 3, 1]
+    for scale in (1.0, 1e-310):
+        x = SparseVector.from_pairs([(1, 1 * scale), (2, 2 * scale), (3, 3 * scale), (4, 0.5 * scale)])
+        assert [tree_pminhash(tree, x, s) for s in range(8)] == want
+        assert tree_pminhash_many(tree, x, np.arange(8, dtype=np.uint64)).tolist() == want
+
+
+def test_tree_of_masses_near_the_float_max_samples_as_at_scale_one():
+    # the node over leaves 1 and 2 would weigh 2e308, past the largest float,
+    # unless the leaves are scaled first
+    tree = WeightTree.from_nested(((1, 2), 3))
+    seeds = np.arange(64, dtype=np.uint64)
+    want = tree_pminhash_many(tree, SparseVector.from_dense((0.0, 1.0, 1.0, 1.0)), seeds).tolist()
+    x = SparseVector.from_dense((0.0, 1e308, 1e308, 1e308))
+    assert tree_pminhash_many(tree, x, seeds).tolist() == want
+    assert [tree_pminhash(tree, x, s) for s in range(64)] == want
+    assert len(set(want)) == 3
+
+
+_IDS = st.sampled_from([0, 1, 2**64 - 2, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def _nested(draw, ids, depth):
+    """A random tree over ``ids``, at most ``depth`` levels below its root."""
+    if len(ids) == 1 and draw(st.booleans()):
+        return ids[0]
+    if depth == 0 or len(ids) == 1:
+        return tuple(ids)
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1), max_size=3)))
+    ends = [0, *cuts, len(ids)]
+    return tuple(_nested(draw, ids[a:b], depth - 1) for a, b in zip(ends, ends[1:]))
+
+
+@st.composite
+def _sampler_cases(draw):
+    """Cases ``(ids, top, exp, low, tree, seeds)`` of the sampler property.
+
+    ``ids[:len(top)]`` carry the integer masses ``top``, below 2**10, and the
+    next ``len(low)`` ids the ``low`` masses.  Next to the integer masses
+    times ``2**exp``, every low mass is at least 2**1034 below the smallest,
+    and it may flush to 0 when the largest is scaled into [0.5, 1); the
+    masses of one vector span up to 2**1100.  The tree holds every id,
+    including those without a mass.
+    """
+    ids = draw(st.lists(_IDS, min_size=1, max_size=10, unique=True))
+    n_top = draw(st.integers(1, len(ids)))
+    n_low = draw(st.integers(0, len(ids) - n_top))
+    top = draw(st.lists(st.integers(1, 2**10 - 1), min_size=n_top, max_size=n_top))
+    low = draw(st.lists(st.integers(1, 2**10 - 1), min_size=n_low, max_size=n_low))
+    exp = draw(st.integers(10, 1014))  # of the integer masses, in the wide vector
+    low_exps = draw(st.lists(st.integers(max(0, exp - 16), exp + 30), min_size=n_low, max_size=n_low))
+    tree = WeightTree.from_nested(_nested(draw, draw(st.permutations(ids)), 3))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    return ids, top, exp, [math.ldexp(m, e - 1074) for m, e in zip(low, low_exps)], tree, seeds
+
+
+def _every_sampler(tree, x, seeds):
+    """The samples of x under every sparse sampler, after checking that scalar and batch agree."""
+    many = pminhash_many(x, seeds).tolist()
+    assert many == [pminhash(x, s) for s in seeds]
+    batch = batch_signatures([x, REF_X], seeds[0], 4)[0].tolist()
+    assert batch == [pminhash(x, derive_seed(seeds[0], j)) for j in range(4)]
+    tree_many = tree_pminhash_many(tree, x, np.array(seeds, dtype=np.uint64)).tolist()
+    assert tree_many == [tree_pminhash(tree, x, s) for s in seeds]
+    return many, batch, tree_many
+
+
+@given(_sampler_cases(), st.lists(st.integers(-1064, 1000), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_sparse_sampler_is_scale_invariant_and_agrees_with_its_batch(case, scalings):
+    # every power-of-two scaling of integer masses below 2**10 is exact, so
+    # every sample must be the same; a mass 2**1034 or more below every other
+    # keys to inf or above 2**982 and never wins, so it changes no sample
+    ids, top, exp, low, tree, seeds = case
+    top_ids = ids[: len(top)]
+    want = _every_sampler(tree, SparseVector.from_pairs(zip(top_ids, map(float, top))), seeds)
+    for s in scalings:
+        scaled = SparseVector.from_pairs((i, math.ldexp(m, s)) for i, m in zip(top_ids, top))
+        assert _every_sampler(tree, scaled, seeds) == want
+    wide = [(i, math.ldexp(m, exp)) for i, m in zip(top_ids, top)] + list(zip(ids[len(top):], low))
+    assert _every_sampler(tree, SparseVector.from_pairs(wide), seeds) == want
