@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -29,13 +30,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        value = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= value < 2**64:
+    """A seed as ASCII decimal digits, or ``0x`` then hex digits, below 2**64."""
+    if re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+    base = 16 if text[1:2] in ("x", "X") else 10
+    digits = text[2:] if base == 16 else text
+    # past 20 significant digits a seed exceeds 2**64 in either base, and is never converted
+    if len(digits.lstrip("0")) > 20 or int(digits, base) >= 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+    return int(digits, base)
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:

@@ -12,7 +12,6 @@ divergence scatter summaries used by the verification suite.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -139,47 +138,42 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN.findall(low)
 
 
-def _corpus(weighted: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[list[Document], int]:
-    """Documents from (doc_id, token weights) records, skipping and counting empty ones.
+def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], int]:
+    """:func:`corpus_from_records` of (doc_id, text) records."""
+    return corpus_from_records({"id": doc_id, "text": text} for doc_id, text in documents)
 
-    One pass lays every record's entries end to end and hashes each distinct
-    token once; one :func:`sparse._distributions` call then merges,
-    normalizes and checks every record.
+
+def corpus_from_records(records: Iterable[dict]) -> tuple[list[Document], int]:
+    """Build Documents from parsed corpus records ({'id','text'} or {'id','weights'}).
+
+    A text record adds one entry of weight 1.0 per token occurrence, a
+    weights record its own entries.  One pass lays every record's entries
+    end to end and hashes each distinct token once; one
+    :func:`sparse._distributions` call then merges, normalizes and checks
+    every record.  Repeats of a token add in input order, and sums of ones
+    are exact, so a text's masses are its token counts.  Input order is
+    preserved; empty documents are skipped and counted.
     """
     doc_ids: list[str] = []
     tokens: list[str] = []
     weights: list[float] = []
     row_len: list[int] = []
-    for doc_id, w in weighted:
-        doc_ids.append(doc_id)
-        tokens.extend(w)
-        weights.extend(w.values())
-        row_len.append(len(w))
+    for rec in records:
+        doc_ids.append(rec["id"])
+        if "text" in rec:
+            row = _tokenize(rec["text"])
+            weights += [1.0] * len(row)
+        else:
+            row = rec["weights"]
+            weights.extend(row.values())
+        tokens.extend(row)
+        row_len.append(len(row))
     distinct = list(set(tokens))
     element = dict(zip(distinct, _token_ids(distinct).tolist()))
     ids = np.fromiter(map(element.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
     dists, kept = _distributions(ids, np.array(weights, dtype=np.float64), row_len)
     corpus = [Document(doc_ids[r], dist) for r, dist in zip(kept.tolist(), dists)]
     return corpus, len(doc_ids) - len(corpus)
-
-
-def ingest_text(documents: Iterable[tuple[str, str]]) -> tuple[list[Document], int]:
-    """Turn (doc_id, text) records into term distributions.
-
-    Returns (corpus, skipped) where skipped counts documents with no tokens.
-    """
-    return _corpus((doc_id, Counter(_tokenize(text))) for doc_id, text in documents)
-
-
-def corpus_from_records(records: Iterable[dict]) -> tuple[list[Document], int]:
-    """Build Documents from parsed corpus records ({'id','text'} or {'id','weights'}).
-
-    Input order is preserved; empty documents are skipped and counted.
-    """
-    return _corpus(
-        (rec["id"], Counter(_tokenize(rec["text"])) if "text" in rec else rec["weights"])
-        for rec in records
-    )
 
 
 @dataclass(frozen=True)

@@ -398,10 +398,10 @@ def _read_canonical_index(text: str) -> InvertedIndex | None:
 def read_index_jsonl(path: str | Path) -> InvertedIndex:
     """Index written by :func:`write_index_jsonl`.
 
-    Header ``a`` and ``o`` must be JSON integers.  On each bucket line
-    ``band`` must be a JSON integer in ``[0, o)``, ``key`` a decimal string
-    no larger than 2**64-1 and ``docs`` a list of string ids; no
-    ``(band, key)`` may repeat.
+    Header ``a`` and ``o`` must be JSON integers and ``seed`` a decimal
+    string no larger than 2**64-1.  On each bucket line ``band`` must be a
+    JSON integer in ``[0, o)``, ``key`` a decimal string as ``seed`` is and
+    ``docs`` a list of string ids; no ``(band, key)`` may repeat.
 
     A file in the canonical form that :func:`write_index_jsonl` writes
     (ASCII, one ``json.dumps`` object per line, numbers without leading
@@ -432,13 +432,12 @@ def _read_index_json(path: str | Path, text: str | None = None) -> InvertedIndex
     if meta.get("kind") != "index":
         raise ValueError(f"{path}:{lineno}: expected index metadata line")
     a, o, seed = (_require(meta, field, path, lineno) for field in ("a", "o", "seed"))
+    if type(a) is not int or type(o) is not int:
+        raise ValueError(f"{path}:{lineno}: 'a' and 'o' must be JSON integers")
+    seed = _uint64_text(seed, "'seed'", path, lineno)
     try:
-        if type(a) is not int or type(o) is not int:
-            raise ValueError("'a' and 'o' must be JSON integers")
-        scheme = BandingScheme(a=a, o=o, base_seed=int(seed))
-        if not 0 <= scheme.base_seed <= MAX_ID:
-            raise ValueError("seed must fit in 64 bits")
-    except (TypeError, ValueError, OverflowError) as exc:
+        scheme = BandingScheme(a=a, o=o, base_seed=seed)
+    except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     buckets: dict[tuple[int, int], tuple[str, ...]] = {}
     for lineno, obj in lines:

@@ -99,6 +99,21 @@ def test_piecewise_validation():
         assert a.dtype == np.float64 and not a.flags.writeable
 
 
+def test_piecewise_density_rejects_a_negative_value():
+    with pytest.raises(ValueError, match="^density values must be finite and nonnegative$"):
+        PiecewiseDensity((0.0, 0.5, 1.0), (1.0, -0.5))
+
+
+def test_density_at_one_is_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"^point outside \[0, 1\)$"):
+        PiecewiseDensity((0.0, 1.0), (1.0,)).density_at(1.0)
+
+
+def test_astar_collision_needs_a_positive_seed_count():
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        astar_collision(UNIFORM3, UNIFORM3, UNIFORM3, 0, n=0)
+
+
 # --- global bound ------------------------------------------------------------
 
 def test_global_bound_values():

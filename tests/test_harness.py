@@ -87,6 +87,55 @@ def test_one_pass_ingest_matches_per_record_normalize():
         corpus_from_records([{"id": "n", "weights": {"x": -1.0, "y": -2.0}}])
 
 
+# Words, one that lowercases to another's letters, non-ASCII and long ones
+_WORDS = ["a", "b", "ab", "Ab", "café", "CAFÉ", "naïve", "東京", "\u212a", "x" * 40, "ℌ𝔢𝔩𝔩𝔬"]
+# ASCII and non-ASCII separators, each of which splits tokens
+_SEPARATORS = [" ", ",", "_", "!", "\t\n", "—", "、", "\u2028"]
+
+
+@st.composite
+def _text_record_text(draw):
+    """Words and separators, with one word repeated up to 10**5 times."""
+    parts = draw(st.lists(st.sampled_from(_WORDS + _SEPARATORS), max_size=30))
+    text = " ".join(parts)
+    heavy = draw(st.sampled_from(_WORDS))
+    repeats = draw(st.sampled_from([0, 1, 2, 1000, 10**5]) | st.integers(0, 10**5))
+    return text + (draw(st.sampled_from(_SEPARATORS)) + heavy) * repeats
+
+
+_MIXED_RECORD = st.one_of(
+    _text_record_text().map(lambda text: {"text": text}),
+    st.lists(st.sampled_from(_SEPARATORS), max_size=6).map(lambda seps: {"text": "".join(seps)}),
+    st.dictionaries(
+        st.sampled_from([w.lower() for w in _WORDS]),
+        st.integers(0, 1000) | st.floats(0.0, 1e6) | st.sampled_from([1e-300, 5e-324]),
+        max_size=6,
+    ).map(lambda weights: {"weights": weights}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MIXED_RECORD, max_size=8))
+def test_ingest_of_mixed_records_equals_per_record_counts(bodies):
+    records = [{"id": f"r{i}", **body} for i, body in enumerate(bodies)]
+    want = []
+    for rec in records:
+        weights = Counter(_tokenize(rec["text"])) if "text" in rec else rec["weights"]
+        v = SparseVector.from_arrays(
+            [token_element_id(t) for t in weights], [float(w) for w in weights.values()]
+        )
+        if len(v):
+            want.append(Document(rec["id"], normalize(v)))
+    corpus, skipped = corpus_from_records(records)
+    assert [d.doc_id for d in corpus] == [d.doc_id for d in want]
+    for got, ref in zip(corpus, want):  # bit for bit
+        assert got.dist.ids.tobytes() == ref.dist.ids.tobytes()
+        assert got.dist.masses.tobytes() == ref.dist.masses.tobytes()
+    assert skipped == len(records) - len(want)
+    texts = [(rec["id"], rec["text"]) for rec in records if "text" in rec]
+    assert ingest_text(texts) == corpus_from_records({"id": i, "text": t} for i, t in texts)
+
+
 _BATCH_ROWS = {
     "end-ids": ([2**64 - 1, 0, 5], [0.25, 0.5, 0.25]),
     "repeats": ([7, 3, 7, 3, 7], [0.1, 0.2, 0.3, 0.4, 0.5]),
@@ -488,6 +537,15 @@ def test_task_parse_and_match():
         Task.parse("nonsense")
     with pytest.raises(ValueError, match="field"):
         Task.parse("zz<1")
+
+
+def test_task_prints_as_it_parses():
+    assert str(Task.parse("jsd<0.25")) == "jsd<0.25"
+
+
+def test_eval_curves_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        eval_curves(synth_pairs(4, seed=0), [(1, 1)], mode="bogus")
 
 
 def test_eval_curves_all_positive_gives_unit_precision():

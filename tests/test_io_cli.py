@@ -168,6 +168,13 @@ def test_jsonl_readers_reject_scalar_lists_with_path_and_line(tmp_path, reader, 
         reader(path)
 
 
+def test_signature_line_whose_k_is_not_its_sample_count(tmp_path):
+    path = tmp_path / "sigs.jsonl"
+    path.write_text('{"v": 1, "id": "a", "seed": "0", "k": 3, "samples": ["1", "2"]}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: sample count does not match k$"):
+        jio.read_signatures_jsonl(path)
+
+
 def test_index_jsonl_roundtrip(tmp_path):
     corpus, _ = ingest_text([("d1", "alpha beta gamma"), ("d2", "alpha beta delta")])
     index = index_build(corpus, BandingScheme(2, 3, base_seed=7))
@@ -333,6 +340,11 @@ def _write_corpus(path, docs):
 def test_cli_unknown_flag_is_validation_error(capsys):
     assert run(["sim", "--nope"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: jpminhash")
 
 
 def test_cli_missing_file_is_validation_error(tmp_path, capsys):
@@ -569,6 +581,11 @@ MALFORMED = [
     ("header-kind-sigs", "index", '{"v": 1, "kind": "sigs"}', 1),
     ("header-o-missing", "index", '{"v": 1, "kind": "index", "a": 1, "seed": "0"}', 1),
     ("seed-negative", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "-1"}', 1),
+    ("seed-fraction", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": 3.7}', 1),
+    ("seed-bool", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": true}', 1),
+    ("seed-spaces", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": " 12 "}', 1),
+    ("seed-underscore", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "1_000"}', 1),
+    ("seed-arabic-indic", "index", '{"v": 1, "kind": "index", "a": 1, "o": 2, "seed": "\u0663"}', 1),
     ("a-zero", "index", '{"v": 1, "kind": "index", "a": 0, "o": 2, "seed": "0"}', 1),
     ("o-infinite", "index", '{"v": 1, "kind": "index", "a": 1, "o": Infinity, "seed": "0"}', 1),
     ("a-fraction", "index", '{"v": 1, "kind": "index", "a": 1.9, "o": 2, "seed": "0"}', 1),
@@ -675,6 +692,37 @@ def test_jsonl_malformed_json_names_the_json_error(tmp_path, line):
 def test_cli_bad_seed_rejected(tmp_path):
     assert run(["sim", "--synthetic", "5", "--seed", "zz", "--out", str(tmp_path / "o.csv")]) == 1
     assert run(["sim", "--synthetic", "5", "--seed", str(2**64), "--out", str(tmp_path / "o.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "seed,message",
+    [
+        ("1_000", "invalid seed '1_000'"),
+        ("+5", "invalid seed '+5'"),
+        ("\u0663", "invalid seed '\u0663'"),
+        ("0x_ff", "invalid seed '0x_ff'"),
+        (" 12", "invalid seed ' 12'"),
+        ("0x", "invalid seed '0x'"),
+        ("", "invalid seed ''"),
+        ("0x10000000000000000", "seed must fit in 64 bits"),
+        ("9" * 5000, "seed must fit in 64 bits"),
+    ],
+    ids=["underscore", "plus", "arabic-indic", "hex-underscore", "space", "bare-0x", "empty", "hex-2**64",
+         "5000-digits"],
+)
+def test_cli_seed_outside_the_documented_form_rejected(tmp_path, capsys, seed, message):
+    assert run(["sim", "--synthetic", "5", "--seed", seed, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_seed_in_decimal_and_hex_are_one_seed(tmp_path):
+    outs = []
+    for seed in ("255", "00255", "0xff", "0XfF"):
+        outs.append(tmp_path / f"{seed}.csv")
+        assert run(["sim", "--synthetic", "5", "--seed", seed, "--out", str(outs[-1])]) == 0
+    assert len({out.read_bytes() for out in outs}) == 1
 
 
 def test_cli_verify_clean_build(capsys):

@@ -102,6 +102,16 @@ def test_signature_definition_and_determinism():
         Signature("d", (1, 2), base_seed=0, k=3)
 
 
+def test_signature_record_needs_a_positive_k():
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        Signature("d", (), base_seed=0, k=0)
+
+
+def test_batch_signatures_needs_a_positive_k():
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        batch_signatures([REF_X], 0, 0)
+
+
 def test_identical_inputs_identical_signatures():
     a = signature(REF_X, 99, 64)
     b = signature(SparseDistribution(REF_X.entries), 99, 64)
@@ -202,6 +212,16 @@ def test_tree_single_leaf():
 def test_tree_duplicate_leaf_rejected():
     with pytest.raises(ValueError, match="more than one leaf"):
         WeightTree.from_nested((1, (1, 2)))
+
+
+def test_tree_internal_node_needs_a_child():
+    with pytest.raises(ValueError, match="^internal node needs at least one child$"):
+        WeightTree.from_nested(())
+
+
+def test_tree_of_an_empty_vector_rejected():
+    with pytest.raises(ValueError, match="^cannot hash an empty vector$"):
+        tree_pminhash(WeightTree.from_nested((1, 2)), SparseVector(()), 0)
 
 
 def test_tree_support_not_covered():

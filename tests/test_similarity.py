@@ -161,6 +161,11 @@ def test_terms_reference_pair():
     assert terms.total == pytest.approx(jp(REF_X, REF_Y), abs=1e-12)
 
 
+def test_term_of_an_absent_id_raises_key_error():
+    with pytest.raises(KeyError, match="^12345$"):
+        jp_terms(REF_X, REF_Y).term_of(12345)
+
+
 def test_terms_identity_uniform():
     d = uniform_on([0, 1])
     assert jp_terms(d, d).terms == ((0, 0.5), (1, 0.5))
@@ -351,6 +356,21 @@ def test_upper_pair_errors():
         construct_upper_pair(bad, 0.5, Partition.of([1, 2], [99]))
     with pytest.raises(ValueError, match="two groups"):
         construct_upper_pair(bad, 0.5, Partition.of([1], [2], [3]))
+
+
+@pytest.mark.parametrize(
+    "shared,p,split,message",
+    [
+        (SparseVector(()), 0.5, Partition.of([1], [2]), "^shared base must be non-empty$"),
+        (SparseVector(((1, 0.5), (2, 0.5))), 1.0, Partition.of([1], [2]), r"^p must lie in \[0, 1\)$"),
+        (SparseVector(((1, 0.25), (2, 0.25))), 0.5, Partition.of([1], [3]),
+         "^split does not cover shared element 2$"),
+    ],
+    ids=["empty-base", "p-one", "uncovered-element"],
+)
+def test_upper_pair_input_checks(shared, p, split, message):
+    with pytest.raises(ValueError, match=message):
+        construct_upper_pair(shared, p, split)
 
 
 # --- adversarial reallocation ------------------------------------------------

@@ -33,6 +33,16 @@ def test_normalize_empty_is_degenerate():
         normalize(SparseVector(()))
 
 
+def test_from_arrays_of_unequal_lengths_rejected():
+    with pytest.raises(ValueError, match="^ids and masses must be 1-D arrays of one length$"):
+        SparseVector.from_arrays([1, 2], [1.0])
+
+
+def test_distribution_from_empty_arrays_is_degenerate():
+    with pytest.raises(ValueError, match="^degenerate distribution$"):
+        SparseDistribution.from_arrays([], [])
+
+
 def test_entry_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         SparseVector(((2, 1.0), (1, 1.0)))
