@@ -29,16 +29,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_seed(text: str) -> int:
-    """A seed as ASCII decimal digits, or ``0x`` then hex digits, below 2**64."""
-    if re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", text) is None:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+def _uint64(text: str, what: str, pattern: str = "[0-9]+") -> int:
+    """``text`` as an int below 2**64 if it matches ``pattern``; ``0x`` or ``0X`` starts hex digits."""
+    if re.fullmatch(pattern, text) is None:
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}")
     base = 16 if text[1:2] in ("x", "X") else 10
     digits = text[2:] if base == 16 else text
-    # past 20 significant digits a seed exceeds 2**64 in either base, and is never converted
+    # past 20 significant digits a number exceeds 2**64 in either base, and is never converted
     if len(digits.lstrip("0")) > 20 or int(digits, base) >= 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+        raise argparse.ArgumentTypeError(f"{what} must fit in 64 bits")
     return int(digits, base)
+
+
+def _parse_seed(text: str) -> int:
+    """A seed as ASCII decimal digits, or ``0x`` then hex digits, below 2**64."""
+    return _uint64(text, "seed", r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
+def _parse_int(text: str) -> int:
+    """An integer flag as ASCII decimal digits below 2**64: no sign, space, ``_`` or other digit."""
+    return _uint64(text, "integer")
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -46,8 +56,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     for part in text.split(","):
         a, _, o = part.strip().partition("x")
         try:
-            grid.append((int(a), int(o)))
-        except ValueError:
+            grid.append((_parse_int(a), _parse_int(o)))
+        except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"invalid grid entry {part!r}; expected AxO") from None
     return grid
 
@@ -60,20 +70,20 @@ def _build_parser() -> _ArgumentParser:
     p_sim = sub.add_parser("sim", help="score pairs with all five measures")
     src = p_sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--pairs", type=Path, help="corpus JSONL; consecutive lines form pairs")
-    src.add_argument("--synthetic", type=int, help="generate N synthetic pairs")
+    src.add_argument("--synthetic", type=_parse_int, help="generate N synthetic pairs")
     p_sim.add_argument("--seed", type=_parse_seed, default=0)
     p_sim.add_argument("--out", type=Path, required=True)
 
     p_hash = sub.add_parser("hash", help="emit signatures for a corpus")
     p_hash.add_argument("--corpus", type=Path, required=True)
-    p_hash.add_argument("--k", type=int, required=True)
+    p_hash.add_argument("--k", type=_parse_int, required=True)
     p_hash.add_argument("--seed", type=_parse_seed, default=0)
     p_hash.add_argument("--out", type=Path, required=True)
 
     p_index = sub.add_parser("index", help="build a banded inverted index")
     p_index.add_argument("--corpus", type=Path, required=True)
-    p_index.add_argument("--a", type=int, required=True)
-    p_index.add_argument("--o", type=int, required=True)
+    p_index.add_argument("--a", type=_parse_int, required=True)
+    p_index.add_argument("--o", type=_parse_int, required=True)
     p_index.add_argument("--seed", type=_parse_seed, default=0)
     p_index.add_argument("--out", type=Path, required=True)
 
@@ -84,11 +94,11 @@ def _build_parser() -> _ArgumentParser:
     p_eval = sub.add_parser("eval", help="precision/recall curves over a banding grid")
     esrc = p_eval.add_mutually_exclusive_group(required=True)
     esrc.add_argument("--pairs", type=Path, help="pair-sample CSV")
-    esrc.add_argument("--synthetic", type=int, help="generate N synthetic pairs")
+    esrc.add_argument("--synthetic", type=_parse_int, help="generate N synthetic pairs")
     p_eval.add_argument("--grid", type=_parse_grid, default=harness.DEFAULT_GRID)
     p_eval.add_argument("--task", default="jsd<0.25")
     p_eval.add_argument("--mode", choices=("analytic", "empirical"), default="analytic")
-    p_eval.add_argument("--replicates", type=int, default=50)
+    p_eval.add_argument("--replicates", type=_parse_int, default=50)
     p_eval.add_argument("--seed", type=_parse_seed, default=0)
     p_eval.add_argument("--out", type=Path, required=True)
 

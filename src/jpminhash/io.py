@@ -93,26 +93,42 @@ def _data_lines(
     ]
 
 
+def _parse_rows(path: str | Path, rows: list[tuple[int, str]], parse) -> list:
+    """``parse(line)`` per :func:`_data_lines` row; its ValueError is raised as ``path:lineno: ...``."""
+    out = []
+    for lineno, line in rows:
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
 def _read_csv(path: str | Path, kind: str, columns: str, parse) -> list:
     """The rows of a ``kind`` CSV file with header ``columns``, each one ``parse(*fields)``.
 
-    A wrong header, a row with the wrong number of fields and a ValueError
-    from ``parse`` raise a ValueError naming the path, and the line for a row.
+    A wrong header raises a ValueError naming the path; a row with the
+    wrong number of fields, or one ``parse`` refuses, names its line too.
     """
     rows = _data_lines(path)
     if not rows or rows[0][1] != columns:
         raise ValueError(f"{path}: expected {kind} CSV columns {columns!r}")
     n_fields = columns.count(",") + 1
-    out = []
-    for lineno, line in rows[1:]:
+
+    def row(line: str):
         fields = line.split(",")
         if len(fields) != n_fields:
-            raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
-        try:
-            out.append(parse(*fields))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+            raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+        return parse(*fields)
+
+    return _parse_rows(path, rows[1:], row)
+
+
+def _number(convert, field: str):
+    """``convert(field)`` for a CSV number field; ``_`` and non-ASCII digits, which it reads, are refused."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"number field {field!r} holds '_' or a non-ASCII character")
+    return convert(field)
 
 
 def _check_pair_ids(pairs: PairSample) -> None:
@@ -145,7 +161,7 @@ def read_pair_csv(path: str | Path) -> PairSample:
 
 
 def _pair_score(id_a: str, id_b: str, *values: str) -> PairScore:
-    *scores, weight = map(float, values)
+    *scores, weight = (_number(float, v) for v in values)
     for name, v in zip(_SCORE_COLUMNS, scores):
         if not 0.0 <= v <= 1.0:  # false on NaN too
             raise ValueError(f"{name} must be in [0, 1], got {v!r}")
@@ -167,53 +183,45 @@ def read_pr_csv(path: str | Path) -> list[PRPoint]:
 
 
 def _pr_point(method: str, a: str, o: str, cost: str, precision: str, recall: str, mode: str) -> PRPoint:
-    return PRPoint(method, int(a), int(o), int(cost), float(precision), float(recall), mode)
+    a, o, cost = (_number(int, v) for v in (a, o, cost))
+    return PRPoint(method, a, o, cost, _number(float, precision), _number(float, recall), mode)
 
 
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(
-    path: str | Path, text: str | None = None, sep: str | None = None
-) -> Iterator[tuple[int, dict]]:
-    """The JSON object on each non-comment, non-empty line, with its 1-based line number.
-
-    ``text`` and ``sep`` are as for :func:`_data_lines`.  Each line is
-    decoded by one call to the decoder's scanner, which is what
-    ``json.loads`` runs after its own per-call checks.
-    """
-    for lineno, line in _data_lines(path, text, sep):
-        try:
-            obj, end = _scan_json(line, 0)
-        except StopIteration:
-            raise ValueError(f"{path}:{lineno}: malformed JSON (Expecting value)") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-        if end != len(line):
-            raise ValueError(f"{path}:{lineno}: malformed JSON (Extra data)")
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        yield lineno, obj
+def _json_object(line: str) -> dict:
+    """The JSON object ``line`` holds, decoded as ``json.loads`` does after its per-call checks."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except StopIteration:
+        raise ValueError("malformed JSON (Expecting value)") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON ({exc.msg})") from None
+    if end != len(line):
+        raise ValueError("malformed JSON (Extra data)")
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    return obj
 
 
-def _require(obj: dict, key: str, path: str | Path, lineno: int):
+def _require(obj: dict, key: str):
     if key not in obj:
-        raise ValueError(f"{path}:{lineno}: missing field {key!r}")
+        raise ValueError(f"missing field {key!r}")
     return obj[key]
 
 
-def _uint64_text(value, what: str, path: str | Path, lineno: int) -> int:
+def _uint64_text(value, what: str) -> int:
     """``value`` as an int if it is an ASCII decimal string in [0, 2**64 - 1], else raise.
 
-    The error names ``what``, the path and the line.  A string of more than
-    20 significant digits is never converted, so it cannot hit ``int``'s
-    digit limit.
+    The error names ``what``.  A string of more than 20 significant digits
+    is never converted, so it cannot hit ``int``'s digit limit.
     """
     if type(value) is str and value.isascii() and value.isdigit() and len(value.lstrip("0")) <= 20:
         n = int(value)
         if n <= MAX_ID:
             return n
-    raise ValueError(f"{path}:{lineno}: {what} must be a decimal string below 2**64, got {value!r}")
+    raise ValueError(f"{what} must be a decimal string below 2**64, got {value!r}")
 
 
 def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
@@ -239,22 +247,20 @@ def read_signatures_jsonl(path: str | Path) -> list[Signature]:
     ``k`` entries, and ``seed`` and each sample decimal strings, as index
     keys are; each error names the path and the line.
     """
-    sigs = []
-    for lineno, obj in _json_lines(path):
-        doc_id, samples, seed, k = (_require(obj, f, path, lineno) for f in ("id", "samples", "seed", "k"))
-        if type(doc_id) is not str:
-            raise ValueError(f"{path}:{lineno}: 'id' must be a string")
-        if type(k) is not int:
-            raise ValueError(f"{path}:{lineno}: 'k' must be a JSON integer, got {k!r}")
-        if type(samples) is not list:
-            raise ValueError(f"{path}:{lineno}: 'samples' must be a list")
-        seed = _uint64_text(seed, "'seed'", path, lineno)
-        samples = tuple(_uint64_text(v, "a sample", path, lineno) for v in samples)
-        try:
-            sigs.append(Signature(doc_id, samples, seed, k))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return sigs
+    return _parse_rows(path, _data_lines(path), _signature)
+
+
+def _signature(line: str) -> Signature:
+    obj = _json_object(line)
+    doc_id, samples, seed, k = (_require(obj, f) for f in ("id", "samples", "seed", "k"))
+    if type(doc_id) is not str:
+        raise ValueError("'id' must be a string")
+    if type(k) is not int:
+        raise ValueError(f"'k' must be a JSON integer, got {k!r}")
+    if type(samples) is not list:
+        raise ValueError("'samples' must be a list")
+    seed = _uint64_text(seed, "'seed'")
+    return Signature(doc_id, tuple(_uint64_text(v, "a sample") for v in samples), seed, k)
 
 
 def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
@@ -425,40 +431,40 @@ def _read_index_json(path: str | Path, text: str | None = None) -> InvertedIndex
 
     ``text`` is the file's content when the caller has read it already.
     """
-    lines = _json_lines(path, text)
-    lineno, meta = next(lines, (0, None))
-    if meta is None:
+    rows = _data_lines(path, text)
+    if not rows:
         raise ValueError(f"{path}: empty index file")
-    if meta.get("kind") != "index":
-        raise ValueError(f"{path}:{lineno}: expected index metadata line")
-    a, o, seed = (_require(meta, field, path, lineno) for field in ("a", "o", "seed"))
-    if type(a) is not int or type(o) is not int:
-        raise ValueError(f"{path}:{lineno}: 'a' and 'o' must be JSON integers")
-    seed = _uint64_text(seed, "'seed'", path, lineno)
-    try:
-        scheme = BandingScheme(a=a, o=o, base_seed=seed)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    (scheme,) = _parse_rows(path, rows[:1], _index_header)
     buckets: dict[tuple[int, int], tuple[str, ...]] = {}
-    for lineno, obj in lines:
-        try:
-            band, key, docs = obj["band"], obj["key"], obj["docs"]
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        if type(band) is not int or not 0 <= band < o:
-            raise ValueError(f"{path}:{lineno}: 'band' must be an integer in [0, {o}), got {band!r}")
-        value = _uint64_text(key, "'key'", path, lineno)
+
+    def add_bucket(line: str) -> None:
+        obj = _json_object(line)
+        band, key, docs = (_require(obj, f) for f in ("band", "key", "docs"))
+        if type(band) is not int or not 0 <= band < scheme.o:
+            raise ValueError(f"'band' must be an integer in [0, {scheme.o}), got {band!r}")
+        value = _uint64_text(key, "'key'")
         if not isinstance(docs, list):
-            raise ValueError(f"{path}:{lineno}: 'docs' must be a list")
+            raise ValueError("'docs' must be a list")
         try:
             "".join(docs)  # one C-level pass: raises unless every doc id is a string
         except TypeError:
-            raise ValueError(f"{path}:{lineno}: 'docs' must hold string ids") from None
-        bucket = (band, value)
-        if bucket in buckets:
-            raise ValueError(f"{path}:{lineno}: repeats bucket (band {band}, key {key})")
-        buckets[bucket] = tuple(docs)
+            raise ValueError("'docs' must hold string ids") from None
+        if (band, value) in buckets:
+            raise ValueError(f"repeats bucket (band {band}, key {key})")
+        buckets[band, value] = tuple(docs)
+
+    _parse_rows(path, rows[1:], add_bucket)
     return InvertedIndex(buckets, scheme)
+
+
+def _index_header(line: str) -> BandingScheme:
+    meta = _json_object(line)
+    if meta.get("kind") != "index":
+        raise ValueError("expected index metadata line")
+    a, o, seed = (_require(meta, f) for f in ("a", "o", "seed"))
+    if type(a) is not int or type(o) is not int:
+        raise ValueError("'a' and 'o' must be JSON integers")
+    return BandingScheme(a=a, o=o, base_seed=_uint64_text(seed, "'seed'"))
 
 
 def read_corpus_jsonl(path: str | Path) -> list[dict]:
@@ -473,34 +479,34 @@ def read_corpus_jsonl(path: str | Path) -> list[dict]:
     ``json.dumps(..., ensure_ascii=False)`` writes them, and
     ``str.splitlines`` would break the record there.
     """
-    records = []
-    for lineno, obj in _json_lines(path, sep="\n"):
-        if not isinstance(_require(obj, "id", path, lineno), str):
-            raise ValueError(f"{path}:{lineno}: 'id' must be a string")
-        if "text" in obj:
-            if not isinstance(obj["text"], str):
-                raise ValueError(f"{path}:{lineno}: 'text' must be a string")
-        elif "weights" in obj:
-            _check_weights(obj["weights"], path, lineno)
-        else:
-            raise ValueError(f"{path}:{lineno}: need either 'text' or 'weights'")
-        records.append(obj)
-    return records
+    return _parse_rows(path, _data_lines(path, sep="\n"), _corpus_record)
 
 
-def _check_weights(weights, path: str | Path, lineno: int) -> None:
+def _corpus_record(line: str) -> dict:
+    obj = _json_object(line)
+    if not isinstance(_require(obj, "id"), str):
+        raise ValueError("'id' must be a string")
+    if "text" in obj:
+        if not isinstance(obj["text"], str):
+            raise ValueError("'text' must be a string")
+    elif "weights" in obj:
+        _check_weights(obj["weights"])
+    else:
+        raise ValueError("need either 'text' or 'weights'")
+    return obj
+
+
+def _check_weights(weights) -> None:
     if not isinstance(weights, dict):
-        raise ValueError(f"{path}:{lineno}: 'weights' must be a JSON object")
+        raise ValueError("'weights' must be a JSON object")
     for token, w in weights.items():
         try:
             token.encode("utf-8")  # what a token's element id is hashed from
         except UnicodeEncodeError:
-            raise ValueError(f"{path}:{lineno}: weight key {token!r} is not valid UTF-8") from None
+            raise ValueError(f"weight key {token!r} is not valid UTF-8") from None
         try:  # a JSON number: not a bool, which is an int, nor a numeric string
             ok = type(w) in (int, float) and 0.0 <= float(w) < math.inf
         except OverflowError:  # an integer past the float range
             ok = False
         if not ok:
-            raise ValueError(
-                f"{path}:{lineno}: weight of {token!r} must be a finite non-negative number, got {w!r}"
-            )
+            raise ValueError(f"weight of {token!r} must be a finite non-negative number, got {w!r}")

@@ -107,12 +107,8 @@ def _padded_blocks(bounds: np.ndarray):
 
     Yields ``(lo, hi, at, shape)`` per block: the block's entries
     ``lo:hi`` go to positions ``at`` of a ``shape`` matrix, each row
-    left-aligned and as wide as the longest row of the batch.  A batch of
-    one row is one block that needs no padding.
+    left-aligned and as wide as the longest row of the batch.
     """
-    if bounds.shape[0] == 2:
-        yield 0, bounds[1], (0, slice(None)), (1, bounds[1])
-        return
     row_len = np.diff(bounds)
     width = int(row_len.max(initial=0))
     n_rows = row_len.shape[0]

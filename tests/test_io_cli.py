@@ -1,5 +1,7 @@
 """File formats round-trip and the CLI contract (exit codes, determinism)."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -118,8 +120,13 @@ _PR_HEADER = "# jpminhash-v1\nmethod,a,o,cost,precision,recall,mode\n"
          ": expected PR CSV columns 'method,a,o,cost,precision,recall,mode'"),
         (_PR_HEADER + "JP,2,4,4,0.5,0.5,analytic\nJP,2,4,4,0.5,0.5\n", ":4: expected 7 fields, got 6"),
         (_PR_HEADER + "JP,two,4,4,0.5,0.5,analytic\n", ":3: invalid literal for int() with base 10: 'two'"),
+        (_PR_HEADER + "JP,1_0,4,4,0.5,0.5,analytic\n", ":3: number field '1_0' holds '_' or a non-ASCII character"),
+        (_PR_HEADER + "JP,2,4,4,0.5,0.5,analytic\nJP,2,\u0662,4,0.5,0.5,analytic\n",
+         ":4: number field '\u0662' holds '_' or a non-ASCII character"),
+        (_PR_HEADER + "JP,2,4,4,0.5,\u0660.5,analytic\n",
+         ":3: number field '\u0660.5' holds '_' or a non-ASCII character"),
     ],
-    ids=["header", "six-fields", "a-not-integer"],
+    ids=["header", "six-fields", "a-not-integer", "a-underscore", "o-arabic-indic", "recall-arabic-indic"],
 )
 def test_pr_csv_malformed(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -603,6 +610,8 @@ MALFORMED = [
     ("pair-weight-negative", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,-1", 3),
     ("pair-weight-nan", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,nan", 3),
     ("pair-weight-infinite", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,0.5,0.4,0.1,0.2,0.5,inf", 4),
+    ("pair-weight-underscore", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,1_0", 3),
+    ("pair-jp-arabic-indic", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,\u0660.\u0665,0.4,0.1,0.2,0.5,1", 4),
 ]
 
 
@@ -653,6 +662,47 @@ def test_cli_invalid_utf8_names_path_and_line(tmp_path, capsys, role, text):
         path.write_bytes(("".join(lines[:2]) + filler + lines[2][:12]).encode() + b"\xff" + lines[2][12:].encode())
         assert run(_role_argv(role, path, tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {path}:{line}: not valid UTF-8\n"
+
+
+# valid files of each role, and the bytes a mutation inserts or writes over
+_VALID = {
+    "corpus": (_OK + '{"id": "b", "weights": {"ok": 2.0, "kiwi": 1}}\n').encode(),
+    "index": (_HEADER + "".join(_BUCKET % (i % 2, i, "d%d" % i) + "\n" for i in range(3))).encode(),
+    "pair": (_PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,1\nc,d,0.1,0.05,0.6,0.7,0.2,2\n").encode(),
+}
+_PATCHES = [
+    b'"', b"{", b"}", b"[", b"]", b",", b":", b"\n", b"\r", b"#", b"_", b"-", b"0", b"9", b" ", b"x",
+    b"1e999", b"NaN", b"null", b"true", b"\\", b"\\ud800", b"\xff", b"\x00", "\u0663".encode(),
+    "\u2028".encode(), b"18446744073709551616",
+]
+
+
+@pytest.mark.parametrize("role", sorted(_VALID))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(["insert", "overwrite", "delete"]), st.integers(0, 10**4),
+              st.sampled_from(_PATCHES), st.integers(1, 8)),
+    min_size=1, max_size=4,
+))
+def test_cli_mutated_files_exit_1_with_one_error_line(role, edits):
+    data = bytearray(_VALID[role])
+    for op, at, patch, width in edits:
+        at %= len(data) + 1
+        if op == "delete":
+            del data[at:at + width]
+        else:
+            data[at:at + (len(patch) if op == "overwrite" else 0)] = patch
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in"
+        path.write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(_role_argv(role, path, Path(tmp)))
+    lines = err.getvalue().splitlines()
+    if lines and lines[0].startswith("warning: skipped "):  # an edit can empty a document
+        lines.pop(0)
+    assert (code, len(lines)) in ((0, 0), (1, 1))
+    assert not lines or lines[0].startswith("error: ")
 
 
 def test_cli_eval_pairs_whose_positives_carry_no_weight(tmp_path, capsys):
@@ -717,6 +767,41 @@ def test_cli_seed_outside_the_documented_form_rejected(tmp_path, capsys, seed, m
     assert not (tmp_path / "o.csv").exists()
 
 
+# argv with "{}" where the integer flag's value goes
+_INT_FLAG_ARGVS = {
+    "k": ["hash", "--corpus", "c.jsonl", "--k", "{}", "--out", "o"],
+    "a": ["index", "--corpus", "c.jsonl", "--a", "{}", "--o", "2", "--out", "o"],
+    "o": ["index", "--corpus", "c.jsonl", "--a", "1", "--o", "{}", "--out", "o"],
+    "replicates": ["eval", "--synthetic", "5", "--mode", "empirical", "--replicates", "{}", "--out", "o"],
+    "sim-synthetic": ["sim", "--synthetic", "{}", "--out", "o"],
+    "eval-synthetic": ["eval", "--synthetic", "{}", "--out", "o"],
+    "grid-a": ["eval", "--synthetic", "5", "--grid", "1x1,{}x4", "--out", "o"],
+    "grid-o": ["eval", "--synthetic", "5", "--grid", "2x{}", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("value", ["1_6", "\u0662", " 4 ", "+4", "-1", "4.0", "", str(2**64)],
+                         ids=["underscore", "arabic-indic", "spaces", "plus", "minus", "fraction", "empty", "2**64"])
+@pytest.mark.parametrize("flag", sorted(_INT_FLAG_ARGVS))
+def test_cli_integer_flags_take_ascii_digits_only(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.replace("{}", value) for a in _INT_FLAG_ARGVS[flag]]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --") and err.count("\n") == 1
+    assert ("invalid grid entry" if flag.startswith("grid") else "integer") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_integer_flag_with_leading_zeros_is_its_value(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [{"id": "a", "text": "u v w"}])
+    outs = [tmp_path / "8.jsonl", tmp_path / "008.jsonl"]
+    for k, out in zip(("8", "008"), outs):
+        assert run(["hash", "--corpus", str(corpus), "--k", k, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_cli_seed_in_decimal_and_hex_are_one_seed(tmp_path):
     outs = []
     for seed in ("255", "00255", "0xff", "0XfF"):
@@ -741,6 +826,17 @@ def test_cli_runs_as_a_module(module):
     assert "checks passed" in ok.stdout and "FAIL" not in ok.stdout
     bad = subprocess.run([sys.executable, "-m", module, "--nope"], capture_output=True, text=True, env=env)
     assert bad.returncode == 1 and bad.stderr.startswith("error: ")
+
+
+def test_cli_import_loads_no_property_suite_scipy_or_hypothesis():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = (
+        "import sys, jpminhash.cli; "
+        "print(*sorted(m for m in sys.modules if m == 'jpminhash.verify' "
+        "or m.partition('.')[0] in ('scipy', 'hypothesis')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 def test_cli_runs_in_one_process_as_each_runs_alone(tmp_path, capsys):
