@@ -8,15 +8,6 @@ provides sparse and dense/continuous samplers that achieve it, and includes
 a banded-retrieval evaluation harness plus a CLI.
 """
 
-from .dense import (
-    AStarResult,
-    FiniteMeasure,
-    PiecewiseDensity,
-    astar_collision,
-    astar_pminhash,
-    global_bound,
-    proposal_stream,
-)
 from .harness import (
     DEFAULT_GRID,
     BandingScheme,
@@ -66,6 +57,20 @@ from .similarity import (
 from .sparse import Partition, SparseDistribution, SparseVector, coarsen, normalize
 
 __version__ = "0.1.0"
+
+# The dense searches load on first use (PEP 562): no CLI command but
+# ``verify`` runs them, and an import compiles every line it loads.
+_DENSE_NAMES = frozenset({"AStarResult", "FiniteMeasure", "PiecewiseDensity", "astar_collision",
+                          "astar_pminhash", "global_bound", "proposal_stream"})
+
+
+def __getattr__(name: str):
+    if name in _DENSE_NAMES:
+        from . import dense
+
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AStarResult",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import harness, io, minhash
-from .minhash import Signature, signature  # noqa: F401  perfbench/tracer.py patches cli.signature
+from .minhash import signature  # noqa: F401  perfbench/tracer.py patches cli.signature
 
 __all__ = ["run", "main"]
 
@@ -139,18 +139,15 @@ def _cmd_hash(args) -> int:
         raise CliError("--k must be positive")
     corpus = _load_corpus(args.corpus)
     samples = minhash.batch_signatures([d.dist for d in corpus], args.seed, args.k)
-    sigs = [
-        Signature(doc_id=d.doc_id, samples=tuple(row), base_seed=args.seed, k=args.k)
-        for d, row in zip(corpus, samples.tolist())
-    ]
-    io.write_signatures_jsonl(args.out, sigs)
+    io._write_signature_rows(args.out, [d.doc_id for d in corpus], samples, args.seed)
     return 0
 
 
 def _cmd_index(args) -> int:
     corpus = _load_corpus(args.corpus)
     scheme = harness.BandingScheme(args.a, args.o, base_seed=args.seed)
-    io.write_index_jsonl(args.out, harness.index_build(corpus, scheme))
+    doc_ids = [d.doc_id for d in corpus]
+    io._write_index_buckets(args.out, scheme, doc_ids, *harness._buckets(corpus, scheme))
     return 0
 
 

@@ -382,24 +382,34 @@ def index_build(corpus: Sequence[Document], scheme: BandingScheme) -> InvertedIn
     Buckets come in (band, key) order, each listing its documents in corpus
     order: one stable sort of every band's keys groups them.
     """
+    order, bands, keys, bounds = _buckets(corpus, scheme)
+    doc_ids = [d.doc_id for d in corpus]
+    docs = tuple(map(doc_ids.__getitem__, order.tolist()))
+    bounds = bounds.tolist()
+    buckets = {
+        (b, key): docs[lo:hi]
+        for b, key, lo, hi in zip(bands.tolist(), keys.tolist(), bounds, bounds[1:])
+    }
+    return InvertedIndex(buckets, scheme)
+
+
+def _buckets(corpus: Sequence[Document], scheme: BandingScheme) -> tuple[np.ndarray, ...]:
+    """``(order, bands, keys, bounds)``: the buckets of :func:`index_build` as arrays, in file order.
+
+    Bucket i is band ``bands[i]``, key ``keys[i]``, and holds the corpus
+    positions ``order[bounds[i]:bounds[i + 1]]``, increasing.
+    """
     if not corpus:
         raise ValueError("corpus is empty")
     samples = batch_signatures([d.dist for d in corpus], scheme.base_seed, scheme.k)
     keys = _band_keys_matrix(samples, scheme.a, scheme.o, scheme.base_seed).T  # (o, n)
     order = np.argsort(keys, axis=1, kind="stable")
     keys = np.take_along_axis(keys, order, axis=1).ravel()
-    starts = np.ones(keys.shape[0], dtype=bool)
-    starts[1:] = keys[1:] != keys[:-1]
-    starts[:: len(corpus)] = True  # each band starts a bucket
-    starts = np.flatnonzero(starts)
-    doc_ids = [d.doc_id for d in corpus]
-    docs = tuple(map(doc_ids.__getitem__, order.ravel().tolist()))
-    bands, ends = (starts // len(corpus)).tolist(), starts.tolist()[1:] + [keys.shape[0]]
-    buckets = {
-        (b, key): docs[lo:hi]
-        for b, key, lo, hi in zip(bands, keys[starts].tolist(), starts.tolist(), ends)
-    }
-    return InvertedIndex(buckets, scheme)
+    starts = np.ones(keys.shape[0] + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    starts[:: len(corpus)] = True  # each band starts a bucket, and the end closes the last
+    bounds = np.flatnonzero(starts)
+    return order.ravel(), bounds[:-1] // len(corpus), keys[bounds[:-1]], bounds
 
 
 def query(index: InvertedIndex, dist: SparseDistribution) -> set[str]:

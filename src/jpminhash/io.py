@@ -125,9 +125,17 @@ def _read_csv(path: str | Path, kind: str, columns: str, parse) -> list:
 
 
 def _number(convert, field: str):
-    """``convert(field)`` for a CSV number field; ``_`` and non-ASCII digits, which it reads, are refused."""
+    """``convert(field)`` for a CSV number field, in the forms the writers print.
+
+    ``convert`` also reads ``_``, non-ASCII digits, whitespace around the
+    number and a leading ``+``; each of those is refused.
+    """
     if "_" in field or not field.isascii():
         raise ValueError(f"number field {field!r} holds '_' or a non-ASCII character")
+    if field != field.strip():
+        raise ValueError(f"number field {field!r} has whitespace around it")
+    if field.startswith("+"):
+        raise ValueError(f"number field {field!r} starts with '+'")
     return convert(field)
 
 
@@ -188,6 +196,8 @@ def _pr_point(method: str, a: str, o: str, cost: str, precision: str, recall: st
 
 
 _scan_json = json.JSONDecoder().scan_once
+# a str as json.dumps encodes it, with its default ensure_ascii
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_object(line: str) -> dict:
@@ -224,20 +234,34 @@ def _uint64_text(value, what: str) -> int:
     raise ValueError(f"{what} must be a decimal string below 2**64, got {value!r}")
 
 
-def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
-    """One line per signature, what ``json.dumps`` writes for its record, formatted directly.
+def _signature_format(seed: int, k: int) -> str:
+    """The %-format of a signature line under ``seed`` and ``k``: the encoded id, then k samples.
 
-    The record is ``{"v": 1, "id", "seed", "k", "samples"}`` with the seed
-    and the samples as decimal strings; only the id needs JSON escaping.
+    The line is what ``json.dumps`` writes for the record ``{"v": 1, "id",
+    "seed", "k", "samples"}`` with the seed and the samples as decimal
+    strings; only the id needs JSON escaping, which :func:`_json_str` gives.
     """
+    return '{"v": 1, "id": %%s, "seed": "%d", "k": %d, "samples": ["%s"]}' % (
+        seed, k, '", "'.join(["%d"] * k)
+    )
+
+
+def write_signatures_jsonl(path: str | Path, sigs: Iterable[Signature]) -> None:
+    """One line per signature, what ``json.dumps`` writes for its record, formatted directly."""
     _write_text(
         path,
-        (
-            '{"v": 1, "id": %s, "seed": "%d", "k": %d, "samples": ["%s"]}'
-            % (json.dumps(s.doc_id), s.base_seed, s.k, '", "'.join(map(str, s.samples)))
-            for s in sigs
-        ),
+        (_signature_format(s.base_seed, s.k) % (_json_str(s.doc_id), *s.samples) for s in sigs),
     )
+
+
+def _write_signature_rows(path: str | Path, doc_ids: Sequence[str], samples, seed: int) -> None:
+    """:func:`write_signatures_jsonl` of ``Signature(doc_ids[r], samples[r], seed, k)`` per row r.
+
+    ``samples`` is the (n, k) uint64 matrix of
+    :func:`~jpminhash.minhash.batch_signatures`; no Signature is built.
+    """
+    line = _signature_format(seed, samples.shape[1])
+    _write_text(path, (line % (_json_str(d), *row) for d, row in zip(doc_ids, samples.tolist())))
 
 
 def read_signatures_jsonl(path: str | Path) -> list[Signature]:
@@ -263,28 +287,46 @@ def _signature(line: str) -> Signature:
     return Signature(doc_id, tuple(_uint64_text(v, "a sample") for v in samples), seed, k)
 
 
+def _index_lines(scheme: BandingScheme, buckets: Iterable[tuple[int, int, str]]) -> list[str]:
+    """The lines of an index file: its header, then one per ``(band, key, docs text)`` bucket.
+
+    Each line is what ``json.dumps`` writes for the same object; a bucket's
+    docs text is its ids, each :func:`_json_str`-encoded, joined by ``, ``.
+    A bucket line is formatted directly, which is the form the reader's
+    fast path recognises.
+    """
+    header = {"v": 1, "kind": "index", "a": scheme.a, "o": scheme.o, "seed": str(scheme.base_seed)}
+    return [json.dumps(header), *('{"band": %d, "key": "%d", "docs": [%s]}' % b for b in buckets)]
+
+
 def write_index_jsonl(path: str | Path, index: InvertedIndex) -> None:
     """One header line, then one line per bucket sorted by (band, key).
 
-    Each line is what ``json.dumps`` writes for the same object; the bucket
-    lines are formatted directly, which is the form the reader's fast path
-    recognises, from each distinct doc id ``json.dumps``-encoded once.
+    Each distinct doc id is JSON-encoded once.
     :func:`~jpminhash.harness.index_build` yields its buckets in this
     order already, which the sort then checks in one pass.
     """
-    scheme = index.scheme
-    lines = [
-        json.dumps(
-            {"v": 1, "kind": "index", "a": scheme.a, "o": scheme.o, "seed": str(scheme.base_seed)}
-        )
-    ]
     buckets = sorted(index.buckets.items())
-    enc = {d: json.dumps(d) for d in set(chain.from_iterable(docs for _, docs in buckets))}
-    lines.extend(
-        '{"band": %d, "key": "%d", "docs": [%s]}' % (band, key, ", ".join(map(enc.__getitem__, docs)))
-        for (band, key), docs in buckets
-    )
-    _write_text(path, lines)
+    enc = {d: _json_str(d) for d in set(chain.from_iterable(docs for _, docs in buckets))}
+    _write_text(path, _index_lines(
+        index.scheme,
+        ((band, key, ", ".join(map(enc.__getitem__, docs))) for (band, key), docs in buckets),
+    ))
+
+
+def _write_index_buckets(
+    path: str | Path, scheme: BandingScheme, doc_ids: Sequence[str], order, bands, keys, bounds
+) -> None:
+    """:func:`write_index_jsonl` of the index of ``doc_ids`` whose buckets are arrays.
+
+    The arrays are those of :func:`~jpminhash.harness._buckets`: bucket i is
+    ``(bands[i], keys[i])`` and holds ``doc_ids`` at ``order[bounds[i]:bounds[i + 1]]``.
+    """
+    enc = list(map(_json_str, doc_ids))
+    docs = list(map(enc.__getitem__, order.tolist()))
+    bounds = bounds.tolist()
+    texts = (", ".join(docs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    _write_text(path, _index_lines(scheme, zip(bands.tolist(), keys.tolist(), texts)))
 
 
 def _int_range(n: int) -> str:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .hashing import TILE_CELLS, derive_seed, derive_seed_vec, uniform_hash, uniform_hash_vec
-from .sparse import MAX_ID, SparseVector, _id_array, _scale_rows
+from .sparse import MAX_ID, SparseVector, _id_array, _id_ranks, _scale_rows
 
 __all__ = [
     "Signature",
@@ -192,11 +192,9 @@ class _PackedVectors:
         self.neg_masses = np.negative(masses, out=masses)
         self.distinct = self.inv = None
         if len(vecs) > 1:  # a single vector's ids are strictly increasing
-            ordered = np.sort(self.ids)  # np.unique's hash path is slower on these ids
-            repeats = ordered[1:] == ordered[:-1]
-            if repeats.any():
-                self.distinct = ordered[np.insert(~repeats, 0, True)]
-                self.inv = np.searchsorted(self.distinct, self.ids)
+            distinct, inv = _id_ranks(self.ids)
+            if distinct.shape[0] < self.ids.shape[0]:
+                self.distinct, self.inv = distinct, inv
 
     def sample(self, seeds) -> np.ndarray:
         """(n_vectors, n_seeds) matrix of sampled element ids."""

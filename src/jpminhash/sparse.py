@@ -149,16 +149,39 @@ def _check_masses(ids: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError(f"mass for element {ids[bad][0]} must be positive and finite")
 
 
+def _id_ranks(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, rank)``: the sorted distinct ids, and each entry's index into them.
+
+    This is ``np.unique(ids, return_inverse=True)``, from one argsort: the
+    running count of distinct ids along the sorted entries is scattered back
+    to the entries' places.
+    """
+    order = np.argsort(ids)
+    ordered = ids[order]
+    new = np.ones(ids.shape[0], dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    counts = np.cumsum(new, out=ordered.view(np.intp))  # reuses the sorted ids: one array fewer
+    counts -= 1
+    rank = np.empty(ids.shape[0], dtype=np.intp)
+    rank[order] = counts
+    return distinct, rank
+
+
 def _row_id_groups(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(order, first)``: the stable order of entries by (row, id), and where each (row, id) starts.
 
     ``first`` is over the sorted entries, true at the first entry of each
-    distinct (row, id).
+    distinct (row, id).  Rows are non-negative, and their largest times the
+    number of distinct ids stays below 2**63: the order is one stable sort
+    of the key ``row * n_distinct + rank`` of each entry's id.
     """
-    order = np.lexsort((ids, rows))
-    ids, rows = ids[order], rows[order]
-    first = np.ones(ids.shape[0], dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    distinct, rank = _id_ranks(ids)
+    key = rows * distinct.shape[0] + rank
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     return order, first
 
 

@@ -11,10 +11,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpminhash import harness
 from jpminhash import io as jio
 from jpminhash.cli import run
 from jpminhash.harness import (
@@ -22,10 +24,11 @@ from jpminhash.harness import (
     InvertedIndex,
     PairSample,
     PairScore,
+    corpus_from_records,
     index_build,
     ingest_text,
 )
-from jpminhash.minhash import signature
+from jpminhash.minhash import Signature, signature
 from jpminhash.sparse import MAX_ID
 from jpminhash.verify import REF_X, REF_Y
 
@@ -125,8 +128,13 @@ _PR_HEADER = "# jpminhash-v1\nmethod,a,o,cost,precision,recall,mode\n"
          ":4: number field '\u0662' holds '_' or a non-ASCII character"),
         (_PR_HEADER + "JP,2,4,4,0.5,\u0660.5,analytic\n",
          ":3: number field '\u0660.5' holds '_' or a non-ASCII character"),
+        (_PR_HEADER + "JP,2, 4,4,0.5,0.5,analytic\n", ":3: number field ' 4' has whitespace around it"),
+        (_PR_HEADER + "JP,2,4,4 ,0.5,0.5,analytic\n", ":3: number field '4 ' has whitespace around it"),
+        (_PR_HEADER + "JP,2,4,4,\t0.5,0.5,analytic\n", ":3: number field '\\t0.5' has whitespace around it"),
+        (_PR_HEADER + "JP,+2,4,4,0.5,0.5,analytic\n", ":3: number field '+2' starts with '+'"),
     ],
-    ids=["header", "six-fields", "a-not-integer", "a-underscore", "o-arabic-indic", "recall-arabic-indic"],
+    ids=["header", "six-fields", "a-not-integer", "a-underscore", "o-arabic-indic", "recall-arabic-indic",
+         "o-space-before", "cost-space-after", "precision-tab-before", "a-plus"],
 )
 def test_pr_csv_malformed(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -234,6 +242,49 @@ def test_index_fast_path_agrees_with_json_path(index):
     assert fast.scheme == json_path.scheme == index.scheme
     # not always index.buckets: JSON reads a written pair of lone surrogates as one character
     assert dict(fast.buckets) == json_path.buckets
+
+
+# ids as _DOC_IDS draws them, and the separator of a sample or docs list
+_WRITER_IDS = _DOC_IDS | st.just('", "')
+_UINT64 = st.sampled_from([0, MAX_ID]) | st.integers(0, MAX_ID)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WRITER_IDS, min_size=1, max_size=5), st.sampled_from([1, 2, 7]), _UINT64, st.data())
+def test_signature_matrix_writer_writes_what_the_public_writer_writes(doc_ids, k, seed, data):
+    rows = data.draw(st.lists(st.lists(_UINT64, min_size=k, max_size=k),
+                              min_size=len(doc_ids), max_size=len(doc_ids)))
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, public = Path(tmp) / "matrix.jsonl", Path(tmp) / "public.jsonl"
+        jio._write_signature_rows(matrix, doc_ids, np.array(rows, dtype=np.uint64), seed)
+        jio.write_signatures_jsonl(public, [Signature(d, tuple(r), seed, k) for d, r in zip(doc_ids, rows)])
+        got = matrix.read_bytes()
+        assert got == public.read_bytes()
+    want = "".join(
+        json.dumps({"v": 1, "id": d, "seed": str(seed), "k": k, "samples": list(map(str, r))}) + "\n"
+        for d, r in zip(doc_ids, rows)
+    )
+    assert got == want.encode("ascii")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_WRITER_IDS, st.dictionaries(st.sampled_from("pqrs"), st.integers(1, 3), min_size=1)),
+             min_size=1, max_size=8),
+    st.integers(1, 3), st.integers(1, 4), _UINT64,
+)
+def test_bucket_array_writer_writes_what_the_public_writer_writes(records, a, o, seed):
+    # four tokens with small integer weights: documents often share a bucket
+    corpus, _ = corpus_from_records({"id": d, "weights": w} for d, w in records)
+    scheme = BandingScheme(a, o, seed)
+    index = index_build(corpus, scheme)
+    with tempfile.TemporaryDirectory() as tmp:
+        arrays, public = Path(tmp) / "arrays.jsonl", Path(tmp) / "public.jsonl"
+        jio._write_index_buckets(arrays, scheme, [d.doc_id for d in corpus], *harness._buckets(corpus, scheme))
+        jio.write_index_jsonl(public, index)
+        got = arrays.read_bytes()
+        assert got == public.read_bytes()
+    assert got == _index_text(index).encode("ascii")
 
 
 def test_canonical_index_fast_path_reads_the_largest_band_and_key(tmp_path):
@@ -612,6 +663,10 @@ MALFORMED = [
     ("pair-weight-infinite", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,0.5,0.4,0.1,0.2,0.5,inf", 4),
     ("pair-weight-underscore", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2,0.5,1_0", 3),
     ("pair-jp-arabic-indic", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,\u0660.\u0665,0.4,0.1,0.2,0.5,1", 4),
+    ("pair-jp-space-before", "pair", _PAIR_HEADER + "a,b, 0.5,0.4,0.1,0.2,0.5,1", 3),
+    ("pair-tv-space-after", "pair", _PAIR_HEADER + "a,b,0.5,0.4,0.1,0.2 ,0.5,1", 3),
+    ("pair-weight-tab-before", "pair", _PAIR_HEADER + "c,d,0.1,0.05,0.6,0.7,0.2,1\na,b,0.5,0.4,0.1,0.2,0.5,\t1", 4),
+    ("pair-jw-plus", "pair", _PAIR_HEADER + "a,b,0.5,+0.4,0.1,0.2,0.5,1", 3),
 ]
 
 
@@ -832,11 +887,27 @@ def test_cli_import_loads_no_property_suite_scipy_or_hypothesis():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     code = (
         "import sys, jpminhash.cli; "
-        "print(*sorted(m for m in sys.modules if m == 'jpminhash.verify' "
+        "print(*sorted(m for m in sys.modules if m in ('jpminhash.verify', 'jpminhash.dense') "
         "or m.partition('.')[0] in ('scipy', 'hypothesis')))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+def test_every_public_name_resolves_also_through_a_star_import():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = (
+        "import jpminhash\n"
+        "names = {}\n"
+        "exec('from jpminhash import *', names)\n"
+        "assert all(names[n] is getattr(jpminhash, n) for n in jpminhash.__all__)\n"
+        "from jpminhash import dense\n"
+        "assert jpminhash.astar_pminhash is dense.astar_pminhash\n"
+        "assert not hasattr(jpminhash, 'nope')\n"
+        "print(len(jpminhash.__all__))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "54\n", "")
 
 
 def test_cli_runs_in_one_process_as_each_runs_alone(tmp_path, capsys):

@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 from jpminhash.hashing import derive_seed
 from jpminhash.minhash import (
     Signature,
+    _PackedVectors,
     WeightTree,
     batch_signatures,
     collision_estimate,
@@ -378,3 +379,20 @@ def test_every_sparse_sampler_is_scale_invariant_and_agrees_with_its_batch(case,
         assert _every_sampler(tree, scaled, seeds) == want
     wide = [(i, math.ldexp(m, exp)) for i, m in zip(top_ids, top)] + list(zip(ids[len(top):], low))
     assert _every_sampler(tree, SparseVector.from_pairs(wide), seeds) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from([0, 2**63 - 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+             min_size=1, max_size=8, unique=True),
+    min_size=2, max_size=5,
+))
+def test_packed_distinct_ids_and_inverse_equal_np_unique(rows):
+    packed = _PackedVectors([SparseVector.from_arrays(np.array(r, dtype=np.uint64), np.ones(len(r)))
+                             for r in rows])
+    distinct, inv = np.unique(packed.ids, return_inverse=True)
+    if distinct.shape[0] == packed.ids.shape[0]:  # no id repeats: the race hashes each entry
+        assert packed.distinct is None and packed.inv is None
+    else:
+        assert packed.distinct.tolist() == distinct.tolist()
+        assert packed.inv.tolist() == inv.tolist()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jpminhash import sparse
@@ -210,3 +210,24 @@ def test_normalize_rows_falls_back_on_a_row_of_2_13_entries(monkeypatch):
     calls = _count_fsum(monkeypatch)
     _assert_fsum_bits([rng.exponential(size=2**13 - 1), rng.exponential(size=2**13)])
     assert calls == [2**13, 2**13 - 1, 2**13]  # the long row's fallback, then the reference
+
+
+_EDGE_IDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from(_EDGE_IDS) | st.integers(0, 2**64 - 1)), max_size=40
+))
+@example([])
+def test_row_id_groups_equal_the_two_key_lexsort(entries):
+    # repeats within a row and across rows come from the four edge ids and the few rows
+    rows = np.array([r for r, _ in entries], dtype=np.intp)
+    ids = np.array([i for _, i in entries], dtype=np.uint64)
+    order, first = sparse._row_id_groups(ids, rows)
+    want = np.lexsort((ids, rows))
+    assert order.tolist() == want.tolist()
+    ids, rows = ids[want], rows[want]
+    assert first.tolist() == [
+        j == 0 or (ids[j], rows[j]) != (ids[j - 1], rows[j - 1]) for j in range(len(entries))
+    ]
