@@ -50,8 +50,20 @@ def _write_text(path: str | Path, lines: Iterable[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a line break that ``str.splitlines`` would split a file at."""
+    return "".join(text.splitlines()) != text
+
+
 def _write_csv(path: str | Path, columns: str, comments: Sequence[str], rows: Iterable[str]) -> None:
-    """The version header, a ``#`` line per comment, the column line, then the rows."""
+    """The version header, a ``#`` line per comment, the column line, then the rows.
+
+    A comment holding a line break raises before anything is written: the
+    reader would take the text after the break for a row or the column line.
+    """
+    for c in comments:
+        if _breaks_line(c):
+            raise ValueError(f"comment {c!r} contains a line break")
     _write_text(path, [VERSION_HEADER, *(f"# {c}" for c in comments), columns, *rows])
 
 
@@ -148,7 +160,7 @@ def _check_pair_ids(pairs: PairSample) -> None:
     """
     for s in pairs.scores:
         for pair_id in (s.id_a, s.id_b):
-            if "," in pair_id or "".join(pair_id.splitlines()) != pair_id:
+            if "," in pair_id or _breaks_line(pair_id):
                 raise ValueError(f"pair id {pair_id!r} contains a comma or a line break")
         if s.id_a.startswith("#") or s.id_a[:1].isspace():
             raise ValueError(f"pair id {s.id_a!r} starts with '#' or whitespace")

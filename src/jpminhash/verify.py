@@ -1,21 +1,21 @@
 """The property suite: one check per guarantee of the paper.
 
 ``jpminhash verify`` and the acceptance tests run the same checks.  Each
-check takes its sizes and seeds as arguments: :func:`run_all` runs every
-check at the small sizes behind ``jpminhash verify``, and
-``tests/test_acceptance.py`` runs them at the acceptance sizes.  Every check
-is deterministic (fixed seeds throughout) and returns a single pass/fail row
-with a short diagnostic, so a clean build prints a clean table and any
-regression points at the responsible property.  Statistical checks use
-four-sigma binomial bands; with the seeds pinned they either always pass or
-always fail.
+check takes its sizes and seeds as arguments, whose defaults are the small
+sizes behind ``jpminhash verify``: :func:`run_all` passes only the pair
+sample the checks share, and ``tests/test_acceptance.py`` passes the
+acceptance sizes.  Every check is deterministic (fixed seeds throughout) and
+returns a single pass/fail row with a short diagnostic, so a clean build
+prints a clean table and any regression points at the responsible property.
+Statistical checks use four-sigma binomial bands; with the seeds pinned they
+either always pass or always fail.
 
 The reference pair and the random generators the checks draw from are
 shared with the unit tests.  The checks of exact properties (oracle,
 sandwich, uniform reduction, structure, metric) draw all their data first,
-build it with the package's batch constructor and score their pairs in one
-batch, bit for bit as the single-pair functions; only the ``jp_naive``
-oracle and the reference pair are evaluated pair by pair.
+build it with the package's batch constructor and score each property's
+pairs in one batch, bit for bit as the single-pair functions; only the
+``jp_naive`` oracle and the reference pair are evaluated pair by pair.
 """
 
 from __future__ import annotations
@@ -134,12 +134,24 @@ def _worst(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def _pull(est: float, target: float, band: float) -> float:
-    """Deviation in units of the band; the raw deviation when the band is 0."""
-    return abs(est - target) / band if band else abs(est - target)
+def _band_check(name: str, cases, n: int, head: str, tail: str = "") -> CheckResult:
+    """Each ``(label, estimate, target)`` case against its four-sigma band at ``n`` trials.
+
+    The first case outside its band fails the check, named by its label.
+    Otherwise the pass line gives the worst pull between ``head`` and
+    ``tail``: a pull is the deviation in units of the band, or the raw
+    deviation when the band is 0.
+    """
+    worst = 0.0
+    for label, est, target in cases:
+        band = sigma_band(target, n)
+        if abs(est - target) > band:
+            return CheckResult(name, False, f"{label}: {est:.6f} vs {target:.6f} (band {band:.6f})")
+        worst = max(worst, abs(est - target) / band if band else abs(est - target))
+    return CheckResult(name, True, f"{head}, worst pull {worst:.2f} sigma-units of 4{tail}")
 
 
-def check_oracle_equivalence(n_pairs: int, seed: int, max_side: int) -> CheckResult:
+def check_oracle_equivalence(n_pairs: int = 300, seed: int = 7, max_side: int = 60) -> CheckResult:
     """Fast jp equals the O(n^2) oracle, and the hand values on the reference pair."""
     xs, ys = _rand_pairs(np.random.default_rng(seed), n_pairs, max_side)
     naive = [similarity.jp_naive(x, y) for x, y in zip(xs, ys)]
@@ -162,7 +174,9 @@ def check_oracle_equivalence(n_pairs: int, seed: int, max_side: int) -> CheckRes
     )
 
 
-def check_collision_law(n_pairs: int, n_seeds: int, seed: int, base_seed: int) -> CheckResult:
+def check_collision_law(
+    n_pairs: int = 5, n_seeds: int = 200_000, seed: int = 2, base_seed: int = 101
+) -> CheckResult:
     """Collision frequency over n_seeds seeds equals jp within four sigma.
 
     The pairs are the reference pair, a distribution with itself, a disjoint
@@ -172,28 +186,16 @@ def check_collision_law(n_pairs: int, n_seeds: int, seed: int, base_seed: int) -
     rng = np.random.default_rng(seed)
     pairs = [(REF_X, REF_Y), (REF_X, REF_X), (uniform_on([0]), uniform_on([1]))]
     pairs.extend(rand_pair(rng, max_side=12) for _ in range(n_pairs - len(pairs)))
-    worst_pull = 0.0
-    ref_est = ref_band = 0.0
-    for i, (x, y) in enumerate(pairs):
-        p = similarity.jp(x, y)
-        est = minhash.collision_estimate(x, y, base_seed + i, n_seeds)
-        band = sigma_band(p, n_seeds)
-        if i == 0:
-            ref_est, ref_band = est, band
-        worst_pull = max(worst_pull, _pull(est, p, band))
-        if abs(est - p) > band:
-            return CheckResult(
-                "collision-law", False, f"pair {i}: {est:.6f} vs {p:.6f} band {band:.6f}"
-            )
-    return CheckResult(
-        "collision-law",
-        True,
-        f"{len(pairs)} pairs, worst pull {worst_pull:.2f} sigma-units of 4; reference pair "
-        f"estimate {ref_est:.6f} vs {REF_JP:.6f} (band {ref_band:.6f}, N={n_seeds})",
-    )
+    cases = [
+        (f"pair {i}", minhash.collision_estimate(x, y, base_seed + i, n_seeds), similarity.jp(x, y))
+        for i, (x, y) in enumerate(pairs)
+    ]
+    _, ref_est, ref_jp = cases[0]
+    ref = f"estimate {ref_est:.6f} vs {REF_JP:.6f} (band {sigma_band(ref_jp, n_seeds):.6f}, N={n_seeds})"
+    return _band_check("collision-law", cases, n_seeds, f"{len(pairs)} pairs", f"; reference pair {ref}")
 
 
-def check_marginal_law(n_seeds: int, seed: int) -> CheckResult:
+def check_marginal_law(n_seeds: int = 40_000, seed: int = 0) -> CheckResult:
     """Chi-square of pminhash samples against five distributions.
 
     Distribution j hashes under the seeds ``seed + j*n_seeds`` onwards.
@@ -219,7 +221,7 @@ def check_marginal_law(n_seeds: int, seed: int) -> CheckResult:
     )
 
 
-def check_dense_sparse(n_cases: int, seed: int) -> CheckResult:
+def check_dense_sparse(n_cases: int = 200, seed: int = 31) -> CheckResult:
     """A* search, its exhaustive run and the sparse sampler pick the same element.
 
     About 15% of the masses are zero, to exercise zero-mass skipping.
@@ -250,10 +252,11 @@ def check_dense_sparse(n_cases: int, seed: int) -> CheckResult:
 
 
 def check_sandwich_and_constructions(
-    n_pairs: int,
-    seed: int,
-    max_side: int,
-    construction_seed: int,
+    n_pairs: int = 300,
+    seed: int = 11,
+    max_side: int = 30,
+    construction_seed: int = 13,
+    *,
     sample: harness.PairSample,
 ) -> CheckResult:
     """jw <= jp <= 2jw/(1+jw) and jw = (1-tv)/(1+tv), plus both bound constructions.
@@ -296,7 +299,7 @@ def check_sandwich_and_constructions(
     )
 
 
-def check_uniform_reduction(n_cases: int, seed: int) -> CheckResult:
+def check_uniform_reduction(n_cases: int = 200, seed: int = 17) -> CheckResult:
     """jp equals set Jaccard on pairs of uniform distributions.
 
     Also, on a fifth as many cases: for uniform distributions on ``big`` and
@@ -330,7 +333,7 @@ def check_uniform_reduction(n_cases: int, seed: int) -> CheckResult:
     )
 
 
-def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
+def check_structural_properties(n_cases: int = 250, seed: int = 19) -> CheckResult:
     """Term caps and saturation, then (a fifth as many cases each) disjoint-block
     combination, adversarial dominance and coarsening monotonicity."""
     rng = np.random.default_rng(seed)
@@ -377,31 +380,28 @@ def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
             groups.setdefault(label, set()).add(eid)
         part = Partition(tuple(frozenset(g) for g in groups.values()))
         coarsened += [coarsen(x, part), coarsen(y, part)]
-    # one batch of pairs, in groups: the cap pairs; per case the mixtures, then their
-    # weights; the dominance pairs; (x, z) and (y, z) per z; coarsened, then original pairs
-    ux, uy, bounds = similarity._aligned_rows(
-        xs + mixed[0::2] + dom_x + [v for i, _, _ in zs for v in (dom_x[i], dom_y[i])]
-        + coarsened[0::2] + coarse[0::2],
-        ys + mixed[1::2] + dom_y + [z for *_, z in zs for _ in (0, 1)]
-        + coarsened[1::2] + coarse[1::2],
-    )
+    ux, uy, bounds = similarity._aligned_rows(xs, ys)
     terms = similarity._jp_terms(ux, uy, bounds)
-    jp = similarity._row_sums(terms, bounds)
-    _, mix, base, dom, after, before = np.split(jp, np.cumsum([n_cases, 2 * n, n, 2 * len(zs), n]))
-
     cap = np.minimum(ux, uy)
-    over = np.diff(sparse._kept_bounds(terms > cap + 1e-12, bounds))[:n_cases] > 0
-    saturated = np.diff(sparse._kept_bounds(np.abs(terms - cap) <= 1e-12, bounds))[:n_cases]
-    bad = np.flatnonzero(over | ((np.diff(bounds)[:n_cases] >= 2) & (saturated < 2)))
+    over = np.diff(sparse._kept_bounds(terms > cap + 1e-12, bounds)) > 0
+    saturated = np.diff(sparse._kept_bounds(np.abs(terms - cap) <= 1e-12, bounds))
+    bad = np.flatnonzero(over | ((np.diff(bounds) >= 2) & (saturated < 2)))
     if bad.size:
         i = int(bad[0])
         return broken(f"term cap broken on pair {i}" if over[i] else f"under-saturated pair {i}")
+    mix = similarity._jp_rows(*similarity._aligned_rows(mixed[0::2], mixed[1::2]))
     off = np.abs(mix[0::2] - mix[1::2])
     if (off > 1e-9).any():
         return broken(f"disjoint combination off by {off[off > 1e-9][0]:.3g}")
+    # the dominance pairs, then (x, z) and (y, z) per z
+    ux, uy, bounds = similarity._aligned_rows(
+        dom_x + [v for i, _, _ in zs for v in (dom_x[i], dom_y[i])],
+        dom_y + [z for *_, z in zs for _ in (0, 1)],
+    )
+    terms = similarity._jp_terms(ux, uy, bounds)
+    base, dom = np.split(similarity._row_sums(terms, bounds), [n])
     base = base[[i for i, _, _ in zs]] - 1e-9
-    lo, hi = bounds[n_cases + 2 * n], bounds[n_cases + 3 * n]
-    term = terms[lo:hi][(ux[lo:hi] > 0.0) & (uy[lo:hi] > 0.0)]  # of each z's element, in order
+    term = terms[(ux > 0.0) & (uy > 0.0)][: len(zs)]  # of each z's element, in order
     z_off = np.abs(np.array([z.mass_of(a) for _, a, z in zs]) - term) > 1e-12
     dominated = (dom[0::2] < base) | (dom[1::2] < base)
     bad = np.flatnonzero(dominated | z_off)
@@ -409,6 +409,9 @@ def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
         k, a = int(bad[0]), zs[bad[0]][1]
         what = "dominance broken" if dominated[k] else "z mass differs from the jp term"
         return broken(f"{what} at element {a}")
+    after, before = np.split(similarity._jp_rows(*similarity._aligned_rows(
+        coarsened[0::2] + coarse[0::2], coarsened[1::2] + coarse[1::2]
+    )), 2)
     bad = np.flatnonzero(after < before - 1e-9)
     if bad.size:
         return broken(f"coarsening decreased jp on pair {int(bad[0])}")
@@ -419,7 +422,7 @@ def check_structural_properties(n_cases: int, seed: int) -> CheckResult:
     )
 
 
-def check_metric(n_triples: int, seed: int) -> CheckResult:
+def check_metric(n_triples: int = 2000, seed: int = 29) -> CheckResult:
     """1 - jp satisfies the triangle inequality on random triples."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -442,19 +445,19 @@ def check_metric(n_triples: int, seed: int) -> CheckResult:
     )
 
 
-def check_tree_collision(n_cases: int, n_seeds: int, seed: int) -> CheckResult:
+def check_tree_collision(n_cases: int = 2, n_seeds: int = 100_000, seed: int = 37) -> CheckResult:
     """A tree that puts one element first makes pairs collide there with min-mass frequency.
 
     The cases are the reference pair, then random pairs drawn from ``seed``;
     case j hashes under the seeds ``j*n_seeds`` onwards.
     """
     rng = np.random.default_rng(seed)
-    cases = [(REF_X, REF_Y)]
+    pairs = [(REF_X, REF_Y)]
     for _ in range(n_cases - 1):
         ids = np.arange(int(rng.integers(3, 7)), dtype=np.uint64)
-        cases.append((rand_dist(rng, ids), rand_dist(rng, ids)))
-    worst_pull = 0.0
-    for j, (x, y) in enumerate(cases):
+        pairs.append((rand_dist(rng, ids), rand_dist(rng, ids)))
+    cases = []
+    for j, (x, y) in enumerate(pairs):
         union = sorted(x.support | y.support)
         first = union[0]
         tree = minhash.WeightTree.from_nested((first, tuple(union[1:])))
@@ -462,23 +465,11 @@ def check_tree_collision(n_cases: int, n_seeds: int, seed: int) -> CheckResult:
         sx = minhash.tree_pminhash_many(tree, x, seeds)
         sy = minhash.tree_pminhash_many(tree, y, seeds)
         freq = float(np.mean((sx == first) & (sy == first)))
-        target = min(x.mass_of(first), y.mass_of(first))
-        band = sigma_band(target, n_seeds)
-        worst_pull = max(worst_pull, _pull(freq, target, band))
-        if abs(freq - target) > band:
-            return CheckResult(
-                "tree-generalization",
-                False,
-                f"case {j}: {freq:.5f} vs {target:.5f} (band {band:.5f})",
-            )
-    return CheckResult(
-        "tree-generalization",
-        True,
-        f"{len(cases)} pairs, worst pull {worst_pull:.2f} sigma-units of 4",
-    )
+        cases.append((f"case {j}", freq, min(x.mass_of(first), y.mass_of(first))))
+    return _band_check("tree-generalization", cases, n_seeds, f"{len(pairs)} pairs")
 
 
-def check_amplification(replicates: int, seed: int, band_seed: int) -> CheckResult:
+def check_amplification(replicates: int = 5000, seed: int = 41, band_seed: int = 7) -> CheckResult:
     """Banded collision frequency equals amplify(jp, a, o) within four sigma.
 
     Besides one exact value of ``amplify``, the cases are the reference pair
@@ -488,31 +479,23 @@ def check_amplification(replicates: int, seed: int, band_seed: int) -> CheckResu
     if harness.amplify(0.5, 2, 3) != 0.578125:
         return CheckResult("amplification", False, "amplify(0.5, 2, 3) != 0.578125")
     rng = np.random.default_rng(seed)
-    cases = [
+    pairs = [
         (REF_X, REF_Y, 2, 8),
         (*rand_pair(rng, max_side=6), 1, 3),
         (*rand_pair(rng, max_side=6), 3, 2),
     ]
-    worst_pull = 0.0
-    for j, (x, y, a, o) in enumerate(cases):
-        target = harness.amplify(similarity.jp(x, y), a, o)
-        freq = harness.banded_collision_frequency(
-            x, y, a, o, seed=band_seed + j, replicates=replicates
+    cases = [
+        (
+            f"case {j} (a={a}, o={o})",
+            harness.banded_collision_frequency(x, y, a, o, seed=band_seed + j, replicates=replicates),
+            harness.amplify(similarity.jp(x, y), a, o),
         )
-        band = sigma_band(target, replicates)
-        worst_pull = max(worst_pull, _pull(freq, target, band))
-        if abs(freq - target) > band:
-            return CheckResult(
-                "amplification", False, f"case {j}: {freq:.5f} vs {target:.5f} (a={a}, o={o})"
-            )
-    return CheckResult(
-        "amplification",
-        True,
-        f"exact value plus {len(cases)} cases, worst pull {worst_pull:.2f} sigma-units of 4",
-    )
+        for j, (x, y, a, o) in enumerate(pairs)
+    ]
+    return _band_check("amplification", cases, replicates, f"exact value plus {len(cases)} cases")
 
 
-def check_retrieval_curves(sample: harness.PairSample, replicates: int, seed: int) -> CheckResult:
+def check_retrieval_curves(sample: harness.PairSample, replicates: int = 10, seed: int = 9) -> CheckResult:
     """Analytic curves over the default grid, and empirical retrieval against them.
 
     For two tasks, analytic recall rises with o and falls with a for both JP
@@ -541,11 +524,8 @@ def check_retrieval_curves(sample: harness.PairSample, replicates: int, seed: in
                         return broken(f"recall not increasing in o ({method}, {task})")
                     if q.o == p.o and q.a > p.a and q.recall > p.recall + 1e-12:
                         return broken(f"recall not decreasing in a ({method}, {task})")
-    task = harness.Task.parse("jsd<0.25")
-    (jp_point,) = [
-        p for p in harness.eval_curves(sample, [(2, 4)], task, mode="analytic") if p.method == "JP"
-    ]
-    runs = harness.empirical_retrieval_runs(sample, task, 2, 4, replicates=replicates, seed=seed)
+    (jp_point,) = [p for p in curves["jsd<0.25"] if (p.method, p.a, p.o) == ("JP", 2, 4)]
+    runs = harness.empirical_retrieval_runs(sample, "jsd<0.25", 2, 4, replicates=replicates, seed=seed)
     precisions, recalls = np.array(runs).T
     se_r = float(recalls.std(ddof=1) / math.sqrt(len(runs)))
     se_p = float(precisions.std(ddof=1) / math.sqrt(len(runs)))
@@ -565,7 +545,7 @@ def check_retrieval_curves(sample: harness.PairSample, replicates: int, seed: in
     )
 
 
-def check_divergence_scatter(sample: harness.PairSample, steps: int) -> CheckResult:
+def check_divergence_scatter(sample: harness.PairSample, steps: int = 200) -> CheckResult:
     """d(tv) <= jsd <= tv holds on a grid of two-element pairs, the transposed sandwich not.
 
     How often jsd falls under the empirical d(1 - jp) curve, and under the
@@ -593,21 +573,19 @@ def check_divergence_scatter(sample: harness.PairSample, steps: int) -> CheckRes
 
 
 def run_all() -> list[CheckResult]:
-    """Every check, at the small sizes and seeds of ``jpminhash verify``."""
+    """Every check at its default sizes and seeds, those of ``jpminhash verify``."""
     sample = harness.synth_pairs(400, seed=5)
     return [
-        check_oracle_equivalence(300, seed=7, max_side=60),
-        check_collision_law(5, n_seeds=200_000, seed=2, base_seed=101),
-        check_marginal_law(40_000, seed=0),
-        check_dense_sparse(200, seed=31),
-        check_sandwich_and_constructions(
-            300, seed=11, max_side=30, construction_seed=13, sample=sample
-        ),
-        check_uniform_reduction(200, seed=17),
-        check_structural_properties(250, seed=19),
-        check_metric(2000, seed=29),
-        check_tree_collision(2, n_seeds=100_000, seed=37),
-        check_amplification(5000, seed=41, band_seed=7),
-        check_retrieval_curves(sample, replicates=10, seed=9),
-        check_divergence_scatter(sample, steps=200),
+        check_oracle_equivalence(),
+        check_collision_law(),
+        check_marginal_law(),
+        check_dense_sparse(),
+        check_sandwich_and_constructions(sample=sample),
+        check_uniform_reduction(),
+        check_structural_properties(),
+        check_metric(),
+        check_tree_collision(),
+        check_amplification(),
+        check_retrieval_curves(sample),
+        check_divergence_scatter(sample),
     ]

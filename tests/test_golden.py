@@ -1,4 +1,4 @@
-"""Golden artifacts: sha256 of every CLI subcommand's output on a fixed tiny input.
+"""Golden artifacts: sha256 of every CLI subcommand's output, on a fixed tiny input if it reads one.
 
 Sampling, banding, scoring and the file formats all feed these digests, so a
 refactor that must leave behaviour unchanged has to leave every one of them
@@ -48,6 +48,8 @@ GOLDEN = {
     "query": "e227ef77b6332a77c091dbb47ba9fc23b677388e739cf61a965e81bbece544e2",
     "eval-analytic": "e4fd5806c50cb3ae38d7323733e962d104358dafa27da6e43f6910958b95fd1c",
     "eval-empirical": "ad921f8b702790a4d6a8ce4749135cee48e9f8ea2fe55579633e7ad4eb2646ad",
+    # the property suite's table: every check's detail at its default sizes
+    "verify": "87e66b4d5f6b0b2c822c8aa137c7f38f74be75e062a603b0b830e76e315f7021",
 }
 
 
@@ -74,6 +76,9 @@ def _artifact(name, tmp_path, capsys):
             "--replicates", "3", "--seed", "2",
         ],
     }
+    if name == "verify":
+        assert run(["verify"]) == 0
+        return capsys.readouterr().out.encode("utf-8")
     if name == "query":
         index = tmp_path / "index.jsonl"
         doc = tmp_path / "doc.jsonl"

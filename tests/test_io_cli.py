@@ -101,6 +101,31 @@ def test_cli_sim_refuses_pair_ids_that_do_not_read_back(tmp_path, capsys, doc_id
     assert not out.exists()
 
 
+@pytest.mark.parametrize("comment", ["task=a\rb", "task=a\nb", "task=a\u2028b", "seed=1\n"])
+def test_csv_writers_refuse_a_comment_with_a_line_break(tmp_path, comment):
+    pairs = PairSample((PairScore("a", "b", 1.0, 1.0, 0.0, 0.0, 1.0),))
+    for write, rows in ((jio.write_pair_csv, pairs), (jio.write_pr_csv, [])):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(comment))):
+            write(path, rows, comments=["ok", comment])
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sim"])
+def test_cli_refuses_a_comment_with_a_line_break(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    if command == "eval":  # the task is echoed as '# task=...'
+        argv = ["eval", "--synthetic", "20", "--task", "jsd\n<0.25"]
+    else:  # the pair file's name is echoed as '# pairs=...'
+        pairs = tmp_path / "p\nq.jsonl"
+        _write_corpus(pairs, [{"id": "a", "text": "x y"}, {"id": "b", "text": "x z"}])
+        argv = ["sim", "--pairs", str(pairs)]
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "contains a line break" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_pr_csv_roundtrip(tmp_path):
     from jpminhash.harness import PRPoint
 

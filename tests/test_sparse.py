@@ -89,6 +89,16 @@ def test_mass_of_and_support():
     assert d.support == frozenset({3, 9})
 
 
+def test_equal_vectors_hash_equal_and_other_types_are_not_compared():
+    v = SparseVector(((3, 0.5), (9, 1.5)))
+    same = SparseVector.from_pairs([(9, 1.5), (3, 0.5)])
+    assert v == same and hash(v) == hash(same)
+    assert len({v, same}) == 1 and same in {v}
+    assert v.__eq__(((3, 0.5), (9, 1.5))) is NotImplemented
+    assert v != ((3, 0.5), (9, 1.5))
+    assert v != SparseVector(((3, 0.5), (9, 1.0)))
+
+
 def test_arrays_are_read_only():
     d = SparseDistribution(((0, 0.5), (1, 0.5)))
     with pytest.raises(ValueError):
