@@ -174,9 +174,7 @@ def _cmd_eval(args) -> int:
     )
     comments = [f"task={args.task}", f"mode={args.mode}", f"seed={args.seed}"]
     if args.mode == "empirical":
-        from .hashing import derive_seed
-
-        reps = ",".join(str(derive_seed(args.seed, r)) for r in range(args.replicates))
+        reps = ",".join(map(str, harness._replicate_seeds(args.seed, args.replicates).tolist()))
         comments.append(f"replicate_seeds={reps}")
     io.write_pr_csv(args.out, points, comments=comments)
     return 0

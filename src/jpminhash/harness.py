@@ -218,20 +218,14 @@ def _scores(labels, ux: np.ndarray, uy: np.ndarray, bounds: np.ndarray) -> tuple
     )
 
 
-def synth_pairs(
-    count: int,
-    seed: int,
-    mode: str = "sweep",
-    corpus: Sequence[Document] | None = None,
-) -> PairSample:
-    """Deterministic labeled pairs for curve evaluation.
+def synth_pairs(count: int, seed: int) -> PairSample:
+    """Deterministic labeled pairs for curve evaluation, spanning identical to disjoint.
 
-    ``sweep`` draws a base distribution z over 10..200 elements from
+    Each pair draws a base distribution z over 10..200 elements from
     normalized exponential variates and mixes it with two fresh noise
     distributions at a uniform level t: x = normalize((1-t) z + t n1) and
     y likewise with n2.  The noise supports are windows shifted by random
-    offsets, so pairs range from identical to disjoint.  ``corpus`` draws
-    random document pairs from an ingested corpus.
+    offsets, so pairs range from identical to disjoint.
 
     The random draws are made pair by pair; everything after them is done
     for all pairs at once, bit for bit as :func:`normalize` and
@@ -239,22 +233,7 @@ def synth_pairs(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if mode not in ("sweep", "corpus"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    if mode == "corpus":
-        if not corpus or len(corpus) < 2:
-            raise ValueError("corpus mode needs at least two documents")
-        n = len(corpus)
-        picks = []
-        for _ in range(count):
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(0, n - 1))
-            picks.append((corpus[i], corpus[j + (j >= i)]))
-        scores = score_pairs(
-            [(a.doc_id, b.doc_id) for a, b in picks], [a.dist for a, _ in picks], [b.dist for _, b in picks]
-        )
-        return PairSample(scores, dists={d.doc_id: d.dist for d in corpus})
     x, y, window = _sweep_windows(rng, count)
     labels = [(f"sweep-{k}-a", f"sweep-{k}-b") for k in range(count)]
     union = (x != 0.0) | (y != 0.0)
@@ -422,6 +401,21 @@ def query(index: InvertedIndex, dist: SparseDistribution) -> set[str]:
     return out
 
 
+def _number(convert, field: str):
+    """``convert(field)`` for a CSV number field or a task threshold, in the forms the writers print.
+
+    ``convert`` also reads ``_``, non-ASCII digits, whitespace around the
+    number and a leading ``+``; each of those is refused.
+    """
+    if "_" in field or not field.isascii():
+        raise ValueError(f"number field {field!r} holds '_' or a non-ASCII character")
+    if field != field.strip():
+        raise ValueError(f"number field {field!r} has whitespace around it")
+    if field.startswith("+"):
+        raise ValueError(f"number field {field!r} starts with '+'")
+    return convert(field)
+
+
 @dataclass(frozen=True)
 class Task:
     """Positive-pair criterion over a score field, e.g. jsd < 0.25."""
@@ -440,7 +434,7 @@ class Task:
                 field = field.strip().lower()
                 if field not in cls._FIELDS:
                     raise ValueError(f"unknown task field {field!r}")
-                return cls(field=field, op=op, threshold=float(rest))
+                return cls(field=field, op=op, threshold=_number(float, rest))
         raise ValueError(f"cannot parse task {text!r}; expected e.g. 'jsd<0.25'")
 
     def is_positive(self, score: PairScore) -> bool:
@@ -536,22 +530,25 @@ def empirical_retrieval_runs(
     """Per-replicate (precision, recall) of banded retrieval under real signatures.
 
     Each replicate draws a fresh derived scheme seed and counts a pair as
-    retrieved when its two documents share a band key.  That is exactly when
-    an index over the first documents, queried with the second, returns the
-    first: documents with equal ids carry equal distributions, so they post
-    under equal keys.
+    retrieved when its two documents share a band key.
     """
     if isinstance(task, str):
         task = Task.parse(task)
     return _retrieval_runs(pairs, task, [(a, o)], replicates, seed)[0]
 
 
+def _replicate_seeds(seed: int, replicates: int) -> np.ndarray:
+    """Replicate r's seed ``derive_seed(seed, r)`` for each r below ``replicates``, as uint64."""
+    if replicates < 1:
+        raise ValueError("replicates must be positive")
+    return derive_seed_vec(seed, np.arange(replicates))
+
+
 def _retrieval_runs(
     pairs: PairSample, task: Task, grid: Sequence[tuple[int, int]], replicates: int, seed: int
 ) -> list[list[tuple[float, float]]]:
     """:func:`empirical_retrieval_runs` at every point of a non-empty grid, from one race."""
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
+    rep_seeds = _replicate_seeds(seed, replicates)
     if pairs.dists is None:
         raise ValueError("empirical mode needs pair distributions")
     positives, weights = _labels(pairs, task)
@@ -561,7 +558,7 @@ def _retrieval_runs(
     )
     return [
         [_weighted_pr(weights, positives, retrieved.astype(float)) for retrieved in hits]
-        for hits in _band_hits(packed, grid, derive_seed_vec(seed, np.arange(replicates)))
+        for hits in _band_hits(packed, grid, rep_seeds)
     ]
 
 
@@ -569,10 +566,7 @@ def banded_collision_frequency(
     x: SparseVector, y: SparseVector, a: int, o: int, seed: int, replicates: int
 ) -> float:
     """Fraction of replicate seeds on which x and y share at least one band key."""
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
-    seeds = derive_seed_vec(seed, np.arange(replicates))
-    (hits,) = _band_hits(_PackedVectors([x, y]), [(a, o)], seeds)
+    (hits,) = _band_hits(_PackedVectors([x, y]), [(a, o)], _replicate_seeds(seed, replicates))
     return float(hits[:, 0].mean())
 
 

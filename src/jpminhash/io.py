@@ -17,7 +17,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .harness import BandingScheme, InvertedIndex, PairSample, PairScore, PRPoint
+from .harness import BandingScheme, InvertedIndex, PairSample, PairScore, PRPoint, _number
 from .minhash import Signature
 from .sparse import MAX_ID
 
@@ -134,21 +134,6 @@ def _read_csv(path: str | Path, kind: str, columns: str, parse) -> list:
         return parse(*fields)
 
     return _parse_rows(path, rows[1:], row)
-
-
-def _number(convert, field: str):
-    """``convert(field)`` for a CSV number field, in the forms the writers print.
-
-    ``convert`` also reads ``_``, non-ASCII digits, whitespace around the
-    number and a leading ``+``; each of those is refused.
-    """
-    if "_" in field or not field.isascii():
-        raise ValueError(f"number field {field!r} holds '_' or a non-ASCII character")
-    if field != field.strip():
-        raise ValueError(f"number field {field!r} has whitespace around it")
-    if field.startswith("+"):
-        raise ValueError(f"number field {field!r} starts with '+'")
-    return convert(field)
 
 
 def _check_pair_ids(pairs: PairSample) -> None:

@@ -71,6 +71,8 @@ def _aligned_rows(
     ``_aligned(xs[r], ys[r])`` returns.  Both sides' entries are grouped at
     once by (row, id), with the sort :func:`~jpminhash.sparse._merge` uses.
     """
+    if not xs:
+        return np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.intp)
     vectors = [*xs, *ys]
     lens = np.array([len(v) for v in vectors], dtype=np.intp)
     rows = np.repeat(np.arange(lens.shape[0]) % len(xs), lens)

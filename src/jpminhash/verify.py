@@ -65,6 +65,8 @@ def _rand_row(rng: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, np
 
 def _dists(rows) -> list[SparseDistribution]:
     """Distributions of ``(uint64 ids, masses)`` rows, built by one batch constructor call."""
+    if not rows:
+        return []
     dists, kept = sparse._distributions(*map(np.concatenate, zip(*rows)), [len(i) for i, _ in rows])
     if kept.shape[0] != len(rows):
         raise ValueError("degenerate distribution")

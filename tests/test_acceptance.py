@@ -6,7 +6,8 @@ checks at smaller sizes.  Every statistical check uses fixed seeds, so each
 criterion is deterministic: the binomial four-sigma bands were verified to
 contain the pinned estimates.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.  Two more tests pin the chi-square tail of
-criterion 03, which the package computes without scipy.
+criterion 03, which the package computes without scipy, and two run
+criterion 07 at sizes too small for its combination cases.
 """
 
 import inspect
@@ -93,6 +94,20 @@ def test_criterion_06_uniform_reduction():
 
 def test_criterion_07_structural_properties():
     _report(7, verify.check_structural_properties(1000, seed=7007))
+
+
+def test_no_rows_make_no_distributions():
+    assert verify._dists([]) == []
+
+
+@pytest.mark.parametrize("n_cases", [1, 2, 3, 4])
+def test_structural_properties_with_no_combination_cases(n_cases):
+    # a fifth of n_cases rounds to no mixture, dominance or coarsening case
+    result = verify.check_structural_properties(n_cases)
+    assert result == verify.CheckResult(
+        "structural-properties", True,
+        f"{n_cases} pairs: caps, saturation, combination, dominance, z mass, coarsening all held",
+    )
 
 
 def test_criterion_08_metric_triangle():

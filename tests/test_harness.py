@@ -31,6 +31,7 @@ from jpminhash.harness import (
     index_build,
     ingest_text,
     query,
+    score_pairs,
     synth_pairs,
     token_element_id,
     _tokenize,
@@ -290,21 +291,6 @@ def test_synth_pairs_cover_similarity_range():
 def test_synth_pairs_validation():
     with pytest.raises(ValueError, match="positive"):
         synth_pairs(0, seed=1)
-    with pytest.raises(ValueError, match="mode"):
-        synth_pairs(5, seed=1, mode="bogus")
-    with pytest.raises(ValueError, match="corpus"):
-        synth_pairs(5, seed=1, mode="corpus")
-    one, _ = ingest_text([("solo", "a b")])
-    with pytest.raises(ValueError, match="two documents"):
-        synth_pairs(5, seed=1, mode="corpus", corpus=one)
-
-
-def test_synth_pairs_corpus_mode():
-    corpus, _ = ingest_text([("a", "x y z"), ("b", "x y w"), ("c", "p q r")])
-    pairs = synth_pairs(20, seed=7, mode="corpus", corpus=corpus)
-    ids = {d.doc_id for d in corpus}
-    for s in pairs.scores:
-        assert s.id_a in ids and s.id_b in ids and s.id_a != s.id_b
 
 
 def test_mix_endpoints():
@@ -365,22 +351,6 @@ def test_synth_pairs_equal_per_pair_synthesis(count, seed):
             assert np.array_equal(got.masses, ref.masses)
             assert not got.ids.flags.writeable and not got.masses.flags.writeable
         _assert_scores_exact(score, x, y)
-
-
-def test_synth_pairs_corpus_mode_equal_per_pair_scoring():
-    rng = np.random.default_rng(41)
-    words = [f"w{i}" for i in range(300)]
-    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 400)))) for _ in range(40)]
-    corpus, _ = ingest_text([(f"d{i}", text) for i, text in enumerate(texts)])
-    sample = synth_pairs(500, seed=42, mode="corpus", corpus=corpus)
-    rng = np.random.default_rng(42)
-    for score in sample.scores:
-        i = int(rng.integers(0, len(corpus)))
-        j = int(rng.integers(0, len(corpus) - 1))
-        a, b = corpus[i], corpus[j + (j >= i)]
-        assert (score.id_a, score.id_b) == (a.doc_id, b.doc_id)
-        _assert_scores_exact(score, a.dist, b.dist)
-    assert sample.dists == {d.doc_id: d.dist for d in corpus}
 
 
 # --- amplification ----------------------------------------------------------------
@@ -541,6 +511,18 @@ def test_task_parse_and_match():
 
 def test_task_prints_as_it_parses():
     assert str(Task.parse("jsd<0.25")) == "jsd<0.25"
+
+
+# A threshold follows the rule of a CSV number field: no '_', ASCII only, no
+# whitespace around it and no leading '+'.
+@pytest.mark.parametrize("text", ["jsd<1_0", "jsd<\u0660.\u0662\u0665", "JSD < 0.25 ", "jsd<+0.25"])
+def test_task_threshold_follows_the_number_field_rule(text):
+    with pytest.raises(ValueError, match="number field"):
+        Task.parse(text)
+
+
+def test_score_pairs_of_no_pairs_is_empty():
+    assert score_pairs([], [], []) == ()
 
 
 def test_eval_curves_unknown_mode_rejected():

@@ -601,6 +601,23 @@ def test_cli_eval_rejects_degenerate_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task", ["jsd<1_0", "jsd<\u0660.\u0662\u0665", "JSD < 0.25 ", "jsd<+0.25"],
+                         ids=["underscore", "arabic-indic", "spaces", "plus"])
+def test_cli_eval_task_threshold_follows_the_number_field_rule(tmp_path, capsys, task):
+    out = tmp_path / "pr.csv"
+    assert run(["eval", "--synthetic", "20", "--task", task, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: number field ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["jsd<0.25", "jw>0.5"])
+def test_cli_eval_echoes_a_valid_task_as_given(tmp_path, task):
+    out = tmp_path / "pr.csv"
+    assert run(["eval", "--synthetic", "20", "--task", task, "--out", str(out)]) == 0
+    assert f"# task={task}\n" in out.read_text()
+
+
 def test_cli_rejects_flags_and_files_with_nothing_to_read(tmp_path, capsys):
     doc, empty, blank = tmp_path / "doc.jsonl", tmp_path / "empty.jsonl", tmp_path / "blank.jsonl"
     _write_corpus(doc, [{"id": "q", "text": "apple"}])

@@ -502,6 +502,12 @@ def test_aligned_rows_equal_each_pair_alignment():
         assert np.array_equal(ux[lo:hi], ex) and np.array_equal(uy[lo:hi], ey)
 
 
+def test_aligned_rows_of_no_pairs_are_empty():
+    ux, uy, bounds = _aligned_rows([], [])
+    assert ux.shape == uy.shape == (0,) and ux.dtype == uy.dtype == np.float64
+    assert bounds.tolist() == [0] and bounds.dtype == np.intp
+
+
 def test_coarsening_never_decreases_jp():
     from jpminhash.sparse import coarsen
 

@@ -13,11 +13,12 @@ probability equal to its mass, so only a collision law can tell them from
 P-MinHash.
 """
 
+import math
 import re
 
 import numpy as np
 
-from jpminhash import harness, minhash, similarity, verify
+from jpminhash import dense, harness, minhash, similarity, verify
 from jpminhash.hashing import derive_seed_vec, uniform_hash_vec
 from jpminhash.sparse import SparseDistribution
 
@@ -44,6 +45,29 @@ def _icws(x, seeds):
         ks.append(x.ids[win])
         ts.append(t[win, np.arange(chunk.shape[0])])
     return np.concatenate(ks), np.concatenate(ts)
+
+
+def _keyed_sampler(key):
+    """A sampler whose sample under each seed is the element of least ``key(-log u, mass)``."""
+    def sample(x, seeds):
+        u = uniform_hash_vec(x.ids[:, None], np.asarray(seeds, dtype=np.uint64)[None, :])
+        return x.ids[np.argmin(key(-np.log(u), x.masses[:, None]), axis=0)]
+
+    return sample
+
+
+def test_a_key_with_the_mass_inverted_fails_the_marginal_law(monkeypatch):
+    monkeypatch.setattr(minhash, "pminhash_many", _keyed_sampler(lambda e, m: e * m))
+    result = verify.check_marginal_law()
+    assert not result.passed
+    assert result.detail == "5 distributions, min chi-square p 0.0000"
+
+
+def test_a_mass_blind_minhash_fails_the_marginal_law(monkeypatch):
+    monkeypatch.setattr(minhash, "pminhash_many", _keyed_sampler(lambda e, m: e))
+    result = verify.check_marginal_law()
+    assert not result.passed
+    assert result.detail == "5 distributions, min chi-square p 0.0000"
 
 
 def test_icws_collides_at_jw_and_fails_the_collision_law_on_the_reference_pair(monkeypatch):
@@ -113,3 +137,27 @@ def test_an_adversarial_z_built_with_min_fails_structural_properties(monkeypatch
     result = verify.check_structural_properties()
     assert not result.passed
     assert re.fullmatch(r"(dominance broken|z mass differs from the jp term) at element \d+", result.detail)
+
+
+def test_a_search_that_drops_the_candidate_firing_the_stop_rule_fails_dense_sparse(monkeypatch):
+    def drops_last(mu, lam, seed, *, early_termination=True):
+        (mu, _), (lam, _) = mu._unit, lam._unit
+        b = dense.global_bound(mu, lam)
+        best, best_sample, iters = math.inf, None, 0
+        for cand, e in dense.proposal_stream(lam, seed):
+            iters += 1
+            m_val = mu.masses.item(cand)
+            key = e * (lam.masses.item(cand) / m_val) if m_val > 0.0 else math.inf
+            if early_termination and min(best, key) <= e / b:
+                break  # the candidate that fires the rule is never kept
+            if key < best:
+                best, best_sample = key, cand
+        return dense.AStarResult(sample=best_sample, best_key=best, iterations=iters)
+
+    monkeypatch.setattr(dense, "astar_pminhash", drops_last)
+    result = verify.check_dense_sparse()
+    assert not result.passed
+    mismatches, early = map(int, re.fullmatch(
+        r"200 cases, (\d+) mismatches, (\d+) early-stop diffs", result.detail
+    ).groups())
+    assert mismatches > 0 and early > 0
