@@ -20,7 +20,9 @@ as long, until the head is the whole stream; so samples and iteration
 counts stay the scalar search's.  The two kinds differ only in how a head is
 drawn.  A finite head is picked by partition from the hashed keys, first as
 long as the largest bound of the normalized measures suggests (a search
-visits about that many proposals); a piecewise head is drawn incrementally,
+visits about that many proposals); the keys are hashed seed-major, a row
+per seed with the stream's elements along the contiguous axis, and each
+row's head is picked along it.  A piecewise head is drawn incrementally,
 looking each point's piece up once in the common refinement, with its logs
 from ``math.log``, as the scalar stream takes them, so that no key depends
 on numpy's SIMD dispatch.  The stopping rule is applied in one place,
@@ -315,25 +317,28 @@ def astar_pminhash(
 
 
 def _stream_head(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, e, tied)``: the ``k`` earliest arrivals of each column of ``keys``.
+    """``(order, e, tied)``: the ``k`` earliest arrivals of each row of ``keys``.
 
-    They come in stream order: ascending key, ties by row, as a stable sort
-    gives it.  When ``k`` is at least the number of rows, that sort is taken
-    of the whole column and no column is tied.  Otherwise the ``k`` smallest
-    keys are picked with a partition and only they are sorted: rows first,
-    then stably by key.  ``tied`` marks columns whose ``k``-th key is shared
-    with a row outside the head, whose head may then hold the wrong one of
-    the tied rows.
+    ``keys`` is seed-major: a row per seed, its stream's elements along the
+    contiguous axis.  The head comes back as ``(k, seeds)`` arrays, a column
+    per seed, in stream order: ascending key, ties by element, as a stable
+    sort gives it.  When ``k`` is at least the number of elements, that sort
+    is taken of the whole row and no seed is tied.  Otherwise the ``k``
+    smallest keys are picked with a partition and only they are sorted:
+    elements first, then stably by key.  ``tied`` marks seeds whose ``k``-th
+    key is shared with an element outside the head, whose head may then hold
+    the wrong one of the tied elements.
     """
-    if k >= keys.shape[0]:
-        order = np.argsort(keys, axis=0, kind="stable")
-        return order, np.take_along_axis(keys, order, axis=0), np.zeros(keys.shape[1], dtype=bool)
-    picked = np.sort(np.argpartition(keys, k - 1, axis=0)[:k], axis=0)
-    head = np.take_along_axis(keys, picked, axis=0)
-    by_key = np.argsort(head, axis=0, kind="stable")
-    e = np.take_along_axis(head, by_key, axis=0)
-    tied = np.count_nonzero(keys <= e[-1], axis=0) > k
-    return np.take_along_axis(picked, by_key, axis=0), e, tied
+    if k >= keys.shape[1]:
+        order = np.argsort(keys, axis=1, kind="stable")
+        e = np.take_along_axis(keys, order, axis=1)
+        return order.T, e.T, np.zeros(keys.shape[0], dtype=bool)
+    picked = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    head = np.take_along_axis(keys, picked, axis=1)
+    by_key = np.argsort(head, axis=1, kind="stable")
+    e = np.take_along_axis(head, by_key, axis=1)
+    tied = np.count_nonzero(keys <= e[:, -1:], axis=1) > k
+    return np.take_along_axis(picked, by_key, axis=1).T, e.T, tied
 
 
 def _visit(cands: np.ndarray, e: np.ndarray, rk: np.ndarray, b: float):
@@ -420,8 +425,9 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
     (:func:`_stream_head`), first as long as :func:`_head_len` gives for the
     largest normalized bound: a search stops after about that bound's
     number of proposals, and the head spares sorting the rest of the
-    stream.  Keys are hashed in tiles of about
-    :data:`~jpminhash.hashing.TILE_CELLS` (element, seed) cells.
+    stream.  Keys are hashed in seed-major tiles of about
+    :data:`~jpminhash.hashing.TILE_CELLS` cells, a row of every element per
+    seed, so the head is picked along the contiguous axis of each row.
     """
     lam = lam._unit[0]
     mus = [mu._unit[0] for mu in mus]
@@ -431,15 +437,15 @@ def _astar_many_discrete(mus, lam: FiniteMeasure, seeds) -> tuple[np.ndarray, np
     with np.errstate(divide="ignore", over="ignore"):  # inf where mu vanishes or past the float range
         searches = [(lam_vals / mu.masses[ids], global_bound(mu, lam)) for mu in mus]
     k = max(_head_len(b * lam.total / mu.total, n) for mu, (_, b) in zip(mus, searches))
-    column = ids.astype(np.uint64)[:, None]
+    row = ids.astype(np.uint64)[None, :]
     step = max(1, TILE_CELLS // n)
 
     def head(seeds, k):
         parts = []
         for lo in range(0, seeds.shape[0], step):
-            u = uniform_hash_vec(column, seeds[None, lo : lo + step])
+            u = uniform_hash_vec(row, seeds[lo : lo + step, None])
             with np.errstate(over="ignore"):  # as in proposal_stream
-                parts.append(_stream_head(-np.log(u) / lam_vals[:, None], k))
+                parts.append(_stream_head(-np.log(u) / lam_vals, k))
         if len(parts) == 1:  # not copied: copying a whole sorted stream slows its search
             (order, e, tied), = parts
         else:

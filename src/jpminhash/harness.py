@@ -206,7 +206,12 @@ def score_pairs(
     xs: Sequence[SparseDistribution],
     ys: Sequence[SparseDistribution],
 ) -> tuple[PairScore, ...]:
-    """Score the labeled pairs ``(xs[r], ys[r])`` with all five measures, all at once."""
+    """Score the labeled pairs ``(xs[r], ys[r])`` with all five measures, all at once.
+
+    Raises ``ValueError`` unless ``labels``, ``xs`` and ``ys`` are equally long.
+    """
+    if len(labels) != len(xs):
+        raise ValueError(f"{len(labels)} labels for {len(xs)} pairs")
     return _scores(labels, *_aligned_rows(xs, ys))
 
 

@@ -70,7 +70,10 @@ def _aligned_rows(
     Row r is ``[bounds[r], bounds[r + 1])`` and holds the mass arrays that
     ``_aligned(xs[r], ys[r])`` returns.  Both sides' entries are grouped at
     once by (row, id), with the sort :func:`~jpminhash.sparse._merge` uses.
+    Raises ``ValueError`` unless ``xs`` and ``ys`` are equally long.
     """
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} x vectors for {len(ys)} y vectors")
     if not xs:
         return np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.intp)
     vectors = [*xs, *ys]

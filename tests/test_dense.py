@@ -267,6 +267,21 @@ def test_batch_search_matches_scalar():
             assert res.iterations == int(iters[i])
 
 
+def test_batch_search_matches_scalar_past_one_tile():
+    # a support longer than a tile: each tile hashes one seed's row.  The
+    # mixture's first round partitions a short head; the concentrated
+    # measure's bound makes its first round the full sort, and its searches
+    # visit a good part of the stream
+    n = TILE_CELLS + 7000
+    assert TILE_CELLS // n == 0
+    mu, nu, lam = _mixture(n, 11)
+    seeds = derive_seed_vec(12, np.arange(5))
+    _searches((mu, nu), lam, seeds)
+    concentrated = FiniteMeasure(np.r_[0.99, np.full(n - 1, 0.01 / (n - 1))])
+    _, iters = _searches((concentrated,), FiniteMeasure(np.ones(n)), seeds[:3])
+    assert (iters > 1000).all()
+
+
 def test_stream_head_flags_a_tie_at_its_last_key():
     # columns: a tie at the 3rd key reaching past the head; a tie inside the
     # head; no tie; an infinite 3rd key, shared with every later arrival
@@ -279,7 +294,7 @@ def test_stream_head_flags_a_tie_at_its_last_key():
         [5.0, 5.0, 2.0, 1.0],
         [2.0, 6.0, 1.0, inf],
     ])
-    order, e, tied = _stream_head(keys, 3)
+    order, e, tied = _stream_head(keys.T, 3)
     assert tied.tolist() == [True, False, False, True]
     whole = np.argsort(keys, axis=0, kind="stable")
     assert np.array_equal(order[:, ~tied], whole[:3, ~tied])
@@ -294,7 +309,7 @@ def test_stream_head_flags_a_tie_at_its_last_key():
         assert np.array_equal(got[decided], want[decided])
     # a head as long as the stream, or longer, is its stable full sort, never tied
     for k in (6, 7):
-        order, e, tied = _stream_head(keys, k)
+        order, e, tied = _stream_head(keys.T, k)
         assert np.array_equal(order, whole) and not tied.any()
         assert np.array_equal(e, np.take_along_axis(keys, whole, axis=0))
 
@@ -349,7 +364,7 @@ def test_stream_prefix_fallbacks_equal_the_full_sort(monkeypatch):
     seeds = derive_seed_vec(6, np.arange(50))
     _force_head(monkeypatch, 3)
     keys = _stream_keys(lam, seeds)
-    assert _stream_head(keys, 3)[2].all()
+    assert _stream_head(keys.T, 3)[2].all()
     _searches((mu, FiniteMeasure(mu.masses[::-1])), lam, seeds)
     monkeypatch.undo()
     # masses spanning more than 2**1022: the bound (first case) or a key
@@ -378,7 +393,7 @@ def test_pair_search_reruns_a_head_tied_at_its_last_key(monkeypatch):
     seeds = derive_seed_vec(4, np.arange(200))
     _, iters = _searches((mu, nu), lam, seeds)
     keys = _stream_keys(lam, seeds)
-    tied = _stream_head(keys, 3)[2]
+    tied = _stream_head(keys.T, 3)[2]
     assert (tied & (iters <= 3).all(axis=0)).sum() >= 10
 
 

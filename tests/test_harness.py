@@ -525,6 +525,26 @@ def test_score_pairs_of_no_pairs_is_empty():
     assert score_pairs([], [], []) == ()
 
 
+def _half_half(a, b):
+    return normalize(SparseVector.from_pairs([(a, 0.5), (b, 0.5)]))
+
+
+# x = {1, 2}, y = {2, 3}, z = {1, 4}, each mass 0.5; jp(x, y) is 1/3.  Left
+# unchecked, the first batch scores x against y and z merged (jp 0.5), the
+# second scores its second pair against an empty side (jp 0.0) and the third
+# drops two labels.
+@pytest.mark.parametrize("labels, xs, ys, message", [
+    ([("a", "b")], "x", "yz", "1 x vectors for 2 y vectors"),
+    ([("a", "b"), ("a", "c")], "xx", "y", "2 x vectors for 1 y vectors"),
+    ([("a", "b"), ("c", "d"), ("e", "f")], "x", "y", "3 labels for 1 pairs"),
+])
+def test_score_pairs_refuses_lists_of_unequal_length(labels, xs, ys, message):
+    d = {"x": _half_half(1, 2), "y": _half_half(2, 3), "z": _half_half(1, 4)}
+    assert score_pairs([("a", "b")], [d["x"]], [d["y"]])[0].jp == pytest.approx(1 / 3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score_pairs(labels, [d[c] for c in xs], [d[c] for c in ys])
+
+
 def test_eval_curves_unknown_mode_rejected():
     with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
         eval_curves(synth_pairs(4, seed=0), [(1, 1)], mode="bogus")

@@ -508,6 +508,13 @@ def test_aligned_rows_of_no_pairs_are_empty():
     assert bounds.tolist() == [0] and bounds.dtype == np.intp
 
 
+def test_aligned_rows_refuse_sides_of_unequal_length():
+    x = SparseVector.from_pairs([(1, 0.5), (2, 0.5)])
+    for xs, ys in [([x], [x, x]), ([x, x], [x]), ([], [x])]:
+        with pytest.raises(ValueError, match=f"^{len(xs)} x vectors for {len(ys)} y vectors$"):
+            _aligned_rows(xs, ys)
+
+
 def test_coarsening_never_decreases_jp():
     from jpminhash.sparse import coarsen
 
